@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race fuzz-smoke ci bench-smoke bench bench-json bench-compare trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments
+.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race fuzz-smoke ci perfbench-test bench-smoke bench bench-json bench-compare trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments
 
 all: build test
 
@@ -62,10 +62,18 @@ fuzz-smoke:
 
 # The full CI gate: compile, vet, chordalvet (with SARIF artifact and
 # baseline diff), the analysis wall-clock gate, race-detect the
-# concurrent core, run the whole test suite, then the fault-injection
-# and trace-analysis smokes. .github/workflows/ci.yml runs exactly this
-# target.
-ci: build vet lint lint-bench race test chaos-smoke tracestat-smoke partition-smoke bench-compare
+# concurrent core, run the whole test suite, build and self-test the
+# repository benchmark, then the fault-injection and trace-analysis
+# smokes. .github/workflows/ci.yml runs exactly this target.
+ci: build vet lint lint-bench race test perfbench-test chaos-smoke tracestat-smoke partition-smoke bench-compare
+
+# Build and self-test the repository benchmark (perfbench/, its own Go
+# module): a tiny-n pass over every workload, end-to-end and traced. The
+# root `go test ./...` does not enter the nested module, so without this
+# an API change that breaks the benchmark's build would only surface
+# when the benchmark is run.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Quick-mode benchmark smoke: one iteration of the substrate and
 # experiment benchmarks plus the 20k-node end-to-end pipeline, with

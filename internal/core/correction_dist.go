@@ -173,24 +173,37 @@ func RunCorrectionPhaseObserved(g *graph.Graph, layer map[graph.ID]int, parent m
 // the corrected coloring untouched; dropped messages stall the
 // choreography and surface as the engine's did-not-terminate error.
 func RunCorrectionPhaseFaulty(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, o dist.RoundObserver, f *dist.Faults) (int, error) {
-	pre := correctionPrecompute(g, layer, parent, finalColors, k, o)
-	ix := pre.ix
-	n := ix.NumNodes()
-	nodes := make([]correctionNode, n)
-	eng := dist.NewEngineIndexed(ix, func(v graph.ID) dist.Protocol {
-		i, _ := ix.IndexOf(v)
-		nodes[i] = pre.node(int32(i))
-		return &nodes[i]
+	return runCorrection(g, layer, parent, finalColors, k, o, f, func(pre *corrPre) (*dist.Engine, error) {
+		ix := pre.ix
+		nodes := make([]correctionNode, ix.NumNodes())
+		return dist.NewEngineIndexed(ix, func(v graph.ID) dist.Protocol {
+			i, _ := ix.IndexOf(v)
+			nodes[i] = pre.node(int32(i))
+			return &nodes[i]
+		}), nil
 	})
+}
+
+// runCorrection is the body of every correction entry point: the
+// precompute (and its trace kernels) runs here, newEngine builds the
+// engine over it — in-process or on a partition — and the run must
+// finalize every node.
+func runCorrection(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, o dist.RoundObserver, f *dist.Faults, newEngine func(*corrPre) (*dist.Engine, error)) (int, error) {
+	pre := correctionPrecompute(g, layer, parent, finalColors, k, o)
+	eng, err := newEngine(pre)
+	if err != nil {
+		return 0, err
+	}
 	eng.Observer = o
 	eng.Faults = f
+	eng.SkipOutputs = true
 	res, err := eng.Run(pre.maxRounds)
 	if err != nil {
 		return 0, fmt.Errorf("correction phase: %w", err)
 	}
-	for _, v := range ix.IDs() {
-		if !res.Outputs[v].(bool) {
-			return 0, fmt.Errorf("node %d never finalized", v)
+	for i, final := range eng.OutputsByIndex() {
+		if !final.(bool) {
+			return 0, fmt.Errorf("node %d never finalized", pre.ix.IDOf(i))
 		}
 	}
 	return res.Rounds, nil

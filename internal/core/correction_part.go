@@ -58,12 +58,9 @@ func encodeCorrectionParams(pre *corrPre) ([]byte, error) {
 }
 
 // correctionProgram adapts the correction choreography to
-// dist.Program.
+// dist.Program over the precomputed state decoded from its params.
 type correctionProgram struct {
-	sh        *corrShared
-	hasParent []bool
-	nodeGOff  []int32
-	ttl       int
+	pre *corrPre
 }
 
 func newCorrectionProgram(ix *graph.Indexed, params []byte) (dist.Program, error) {
@@ -85,18 +82,11 @@ func newCorrectionProgram(ix *graph.Indexed, params []byte) (dist.Program, error
 	for i, g := range w.Groups {
 		sh.groups[i] = corrGroup{layer: g.Layer, kidOff: g.KidOff, kidEnd: g.KidEnd, gateOff: g.GateOff, gateEnd: g.GateEnd}
 	}
-	return &correctionProgram{sh: sh, hasParent: w.HasParent, nodeGOff: w.NodeGOff, ttl: w.TTL}, nil
+	return &correctionProgram{pre: &corrPre{ix: ix, sh: sh, hasParent: w.HasParent, nodeGOff: w.NodeGOff, ttl: w.TTL}}, nil
 }
 
 func (p *correctionProgram) NewNode(i int) dist.Protocol {
-	node := correctionNode{
-		sh:        p.sh,
-		idx:       int32(i),
-		hasParent: p.hasParent[i],
-		ttl:       p.ttl,
-		gOff:      p.nodeGOff[i],
-		gEnd:      p.nodeGOff[i+1],
-	}
+	node := p.pre.node(int32(i))
 	return &node
 }
 
@@ -177,25 +167,11 @@ func init() {
 // partition: precompute and trace kernels stay coordinator-side, the
 // choreography itself runs on the shards.
 func RunCorrectionPhasePart(p *dist.Partition, g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, o dist.RoundObserver, f *dist.Faults) (int, error) {
-	pre := correctionPrecompute(g, layer, parent, finalColors, k, o)
-	params, err := encodeCorrectionParams(pre)
-	if err != nil {
-		return 0, err
-	}
-	c, err := dist.NewCoordinator(pre.ix, p, "correction", params)
-	if err != nil {
-		return 0, err
-	}
-	c.Observer = o
-	c.Faults = f
-	res, err := c.Run(pre.maxRounds)
-	if err != nil {
-		return 0, fmt.Errorf("correction phase: %w", err)
-	}
-	for _, v := range pre.ix.IDs() {
-		if !res.Outputs[v].(bool) {
-			return 0, fmt.Errorf("node %d never finalized", v)
+	return runCorrection(g, layer, parent, finalColors, k, o, f, func(pre *corrPre) (*dist.Engine, error) {
+		params, err := encodeCorrectionParams(pre)
+		if err != nil {
+			return nil, err
 		}
-	}
-	return res.Rounds, nil
+		return dist.NewCoordinator(pre.ix, p, "correction", params)
+	})
 }

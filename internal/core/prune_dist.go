@@ -56,7 +56,7 @@ type PruneSpec struct {
 	// every value; only wall time changes.
 	DecideWorkers int
 	// Part, when non-nil, runs every flood on the partitioned runtime
-	// (shards host index ranges; see dist.Coordinator) instead of the
+	// (shards host index ranges; see dist.NewCoordinator) instead of the
 	// in-process engine. Results are identical by construction — the
 	// decide kernel and all other stages stay coordinator-side.
 	Part *dist.Partition

@@ -11,21 +11,20 @@ import (
 )
 
 // TestEmptyGraphAllModes: a node-count-0 network must terminate
-// immediately with an empty output map under every schedule.
+// immediately with an empty output map at every worker count.
 func TestEmptyGraphAllModes(t *testing.T) {
 	g := graph.New()
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
+	for _, procs := range testProcs {
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			t.Fatal("factory called for empty graph")
 			return nil
 		})
-		eng.Mode = mode
-		res, err := eng.Run(5)
+		res, err := runWithProcs(t, procs, eng, 5)
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("procs %d: %v", procs, err)
 		}
 		if res.Rounds != 0 || len(res.Outputs) != 0 || res.Messages != 0 {
-			t.Errorf("mode %v: empty graph ran %d rounds, %d outputs", mode, res.Rounds, len(res.Outputs))
+			t.Errorf("procs %d: empty graph ran %d rounds, %d outputs", procs, res.Rounds, len(res.Outputs))
 		}
 	}
 }
@@ -107,7 +106,6 @@ func TestShardsConsistentUnderGOMAXPROCSChange(t *testing.T) {
 	eng := NewEngine(gen.Cycle(100), func(v graph.ID) Protocol {
 		return &gomaxprocsProtocol{id: v, limit: 5, target: 2}
 	})
-	eng.Mode = ModePooled
 	eng.Observer = obs
 	if _, err := eng.Run(10); err != nil {
 		t.Fatal(err)
@@ -132,39 +130,37 @@ func TestShardsConsistentUnderGOMAXPROCSChange(t *testing.T) {
 // TestDoneFlipContinuesRun: oscillating nodes next to a late-settling
 // node force the run through repeated Done→not-Done transitions (the
 // negative delta path) while the run keeps going; the counter must not
-// drift under any schedule.
+// drift at any worker count.
 func TestDoneFlipContinuesRun(t *testing.T) {
 	g := gen.Cycle(12)
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
+	for _, procs := range testProcs {
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &oscillatingProtocol{settle: 7}
 		})
-		eng.Mode = mode
-		res, err := eng.Run(20)
+		res, err := runWithProcs(t, procs, eng, 20)
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("procs %d: %v", procs, err)
 		}
 		if res.Rounds != 0 {
 			// All-oscillator networks are Done right after Init (round 0
 			// counts as even); this pins the baseline the mixed case
 			// below must beat.
-			t.Fatalf("mode %v: homogeneous oscillators stopped at round %d, want 0", mode, res.Rounds)
+			t.Fatalf("procs %d: homogeneous oscillators stopped at round %d, want 0", procs, res.Rounds)
 		}
 	}
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
+	for _, procs := range testProcs {
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			if v == 0 {
 				return &holdProtocol{until: 7}
 			}
 			return &oscillatingProtocol{settle: 7}
 		})
-		eng.Mode = mode
-		res, err := eng.Run(20)
+		res, err := runWithProcs(t, procs, eng, 20)
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("procs %d: %v", procs, err)
 		}
 		if res.Rounds != 7 {
-			t.Errorf("mode %v: mixed network stopped at round %d, want 7 (done counter drifted through the flips)", mode, res.Rounds)
+			t.Errorf("procs %d: mixed network stopped at round %d, want 7 (done counter drifted through the flips)", procs, res.Rounds)
 		}
 	}
 }
@@ -181,21 +177,20 @@ func (p *holdProtocol) Done() bool                          { return p.rounds >=
 func (p *holdProtocol) Output() any                         { return p.rounds }
 
 // TestSendToNonNodeAllModes: the Send panic must be recovered and
-// surfaced as an error from Run under every schedule — in pooled mode a
-// panicking worker previously left the WaitGroup hanging.
+// surfaced as an error from Run at every worker count — a panicking
+// pool worker previously left the WaitGroup hanging.
 func TestSendToNonNodeAllModes(t *testing.T) {
 	g := gen.Path(50)
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
+	for _, procs := range testProcs {
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &badSenderProtocol{}
 		})
-		eng.Mode = mode
-		_, err := eng.Run(10)
+		_, err := runWithProcs(t, procs, eng, 10)
 		if err == nil {
-			t.Fatalf("mode %v: send to a non-node did not error", mode)
+			t.Fatalf("procs %d: send to a non-node did not error", procs)
 		}
 		if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "not a node of the network") {
-			t.Errorf("mode %v: error %q does not describe the panic", mode, err)
+			t.Errorf("procs %d: error %q does not describe the panic", procs, err)
 		}
 	}
 }

@@ -7,41 +7,30 @@ import (
 	"repro/internal/graph"
 )
 
-// Coordinator drives one partitioned program run over a Partition,
-// implementing the LOCAL engine's round/observer/faults contracts: the
-// same step sequence, the same termination and crash-blocked checks in
-// the same order, the same error strings, and the same per-round
-// RoundStats/FaultStats — so traces, experiment tables, and fault plans
-// are byte-identical between LOCAL and partitioned execution (only
+// partStep is the Engine backend that runs every step on the shards
+// behind a Partition's links. The round loop, checks, errors and
+// accounting are Engine.Run's; a step here broadcasts Step to every
+// shard, routes the cross-shard blocks, delivers, and sums the shards'
+// sender-side counters — so traces, experiment tables, and fault plans
+// are byte-identical between in-process and partitioned execution (only
 // RoundStats.Shards, which describes the schedule and is excluded from
 // deterministic trace comparison, reports the shard count instead of
 // the worker-pool width).
-type Coordinator struct {
-	ix      *graph.Indexed
+type partStep struct {
 	part    *Partition
 	program string
 	params  []byte
-
-	// Observer, Faults, and SkipOutputs mirror the Engine fields of the
-	// same names.
-	Observer    RoundObserver
-	Faults      *Faults
-	SkipOutputs bool
-
 	prog    Program
-	crashAt []int // by snapshot index; nil without a crash schedule
 
-	outByIdx []any
-	ran      bool
-
+	outByIdx        []any
 	wireIn, wireOut int64
 }
 
-// NewCoordinator prepares a partitioned run of the named program over
-// ix. The partition's ranges must cover [0, n) contiguously. The
-// program is instantiated coordinator-side too — with the exact
-// (params, snapshot) every shard receives — to decode outputs.
-func NewCoordinator(ix *graph.Indexed, part *Partition, program string, params []byte) (*Coordinator, error) {
+// NewCoordinator returns an engine that runs the named program over ix
+// on the partition's shards. The partition's ranges must cover [0, n)
+// contiguously. The program is instantiated coordinator-side too — with
+// the exact (params, snapshot) every shard receives — to decode outputs.
+func NewCoordinator(ix *graph.Indexed, part *Partition, program string, params []byte) (*Engine, error) {
 	n := int32(ix.NumNodes())
 	if len(part.Links) == 0 || len(part.Links) != len(part.Ranges) {
 		return nil, fmt.Errorf("dist: partition has %d links for %d ranges", len(part.Links), len(part.Ranges))
@@ -60,61 +49,40 @@ func NewCoordinator(ix *graph.Indexed, part *Partition, program string, params [
 	if err != nil {
 		return nil, err
 	}
-	return &Coordinator{ix: ix, part: part, program: program, params: params, prog: prog}, nil
+	return &Engine{ix: ix, part: &partStep{part: part, program: program, params: params, prog: prog}}, nil
 }
 
-// initFaults mirrors Engine.initFaults: validate the crash schedule and
-// build the global crash tables the coordinator uses for the per-round
-// Crashed lists. It also rejects hand-built fault plans that did not
-// come from ParseFaults — without the (Spec, Seed) pair the schedule
-// cannot be reproduced on the shards.
-func (c *Coordinator) initFaults() error {
-	f := c.Faults
-	if !f.active() {
-		return nil
-	}
-	if f.Spec == "" {
-		return fmt.Errorf("dist: partitioned runs need a ParseFaults-built schedule (hand-built Faults carry no spec to ship to shards)")
-	}
-	if len(f.Crash) == 0 {
-		return nil
-	}
-	n := c.ix.NumNodes()
-	c.crashAt = make([]int, n)
-	for i := range c.crashAt {
-		c.crashAt[i] = -1
-	}
-	for v, r := range f.Crash {
-		i, ok := c.ix.IndexOf(v)
-		if !ok {
-			return fmt.Errorf("dist: fault plan crashes node %d, which is not a node of the network", v)
+// begin starts a fresh program run on every shard. It rejects
+// hand-built fault plans that did not come from ParseFaults: without
+// the (Spec, Seed) pair the schedule cannot be reproduced on the shards.
+func (p *partStep) begin(f *Faults, maxRounds int) error {
+	faultSpec, faultSeed := "", uint64(0)
+	if f.active() {
+		if f.Spec == "" {
+			return fmt.Errorf("dist: partitioned runs need a ParseFaults-built schedule (hand-built Faults carry no spec to ship to shards)")
 		}
-		c.crashAt[i] = r
+		faultSpec, faultSeed = f.Spec, f.Seed
 	}
+	for s, l := range p.part.Links {
+		err := l.Start(ShardConfig{
+			Lo: p.part.Ranges[s].Lo, Hi: p.part.Ranges[s].Hi,
+			Program: p.program, Params: p.params,
+			FaultSpec: faultSpec, FaultSeed: faultSeed,
+			MaxRounds: maxRounds,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	p.meterDelta() // baseline: Start/Session traffic is not a round's
 	return nil
-}
-
-// markCrashes mirrors Engine.markCrashes for the coordinator's own
-// Crashed-list bookkeeping (shards mark their local ranges themselves).
-func (c *Coordinator) markCrashes(step int) []graph.ID {
-	if c.crashAt == nil {
-		return nil
-	}
-	var crashed []graph.ID
-	for i, r := range c.crashAt {
-		if r == step {
-			crashed = append(crashed, c.ix.IDOf(i))
-		}
-	}
-	sortIDs(crashed)
-	return crashed
 }
 
 // meterDelta samples every metered link and returns the bytes moved
 // since the previous sample.
-func (c *Coordinator) meterDelta() (dIn, dOut int64, metered bool) {
+func (p *partStep) meterDelta() (dIn, dOut int64, metered bool) {
 	var in, out int64
-	for _, l := range c.part.Links {
+	for _, l := range p.part.Links {
 		if m, ok := l.(WireMeter); ok {
 			metered = true
 			li, lo := m.WireBytes()
@@ -122,25 +90,24 @@ func (c *Coordinator) meterDelta() (dIn, dOut int64, metered bool) {
 			out += lo
 		}
 	}
-	dIn, dOut = in-c.wireIn, out-c.wireOut
-	c.wireIn, c.wireOut = in, out
+	dIn, dOut = in-p.wireIn, out-p.wireOut
+	p.wireIn, p.wireOut = in, out
 	return dIn, dOut, metered
 }
 
 // step runs one partitioned step: broadcast Step to every shard, await
 // results in shard order, route the cross-shard blocks, deliver, and
-// await the inbox high-water acks. It aggregates the shard counters
-// into the run result and fires the observer exactly like the LOCAL
-// engine's step+collect.
-func (c *Coordinator) step(round int, res *Result, crashed []graph.ID) (doneTotal, deadNotDone int, blockedIdx int32, blockedRound int, err error) {
-	obs := c.Observer
-	links := c.part.Links
+// await the inbox high-water acks. A node-program failure is the lowest
+// shard's — its lowest panicking node, as in the in-process backend.
+func (p *partStep) step(obs RoundObserver, round int, out *roundOut) error {
+	links := p.part.Links
+	out.shards = len(links)
 	if obs != nil {
 		obs.RoundStart(round, len(links))
 	}
 	for _, l := range links {
 		if err := l.Step(round); err != nil {
-			return 0, 0, -1, 0, err
+			return err
 		}
 	}
 	results := make([]*ShardStepResult, len(links))
@@ -148,7 +115,7 @@ func (c *Coordinator) step(round int, res *Result, crashed []graph.ID) (doneTota
 	for s, l := range links {
 		r, err := l.StepResult()
 		if err != nil {
-			return 0, 0, -1, 0, err
+			return err
 		}
 		if r.Err != "" && failure == nil {
 			failure = errors.New(r.Err)
@@ -156,25 +123,23 @@ func (c *Coordinator) step(round int, res *Result, crashed []graph.ID) (doneTota
 		results[s] = r
 	}
 	if failure != nil {
-		return 0, 0, -1, 0, failure
+		return failure
 	}
 
-	msgs, vol := 0, 0
-	fs := FaultStats{Round: round, Crashed: crashed}
-	blockedIdx = -1
+	out.blocked = -1
 	for _, r := range results {
-		doneTotal += r.Done
-		deadNotDone += r.DeadNotDone
-		if r.BlockedIdx >= 0 && blockedIdx < 0 {
-			blockedIdx, blockedRound = r.BlockedIdx, r.BlockedRound
+		out.done += r.Done
+		out.deadNotDone += r.DeadNotDone
+		if r.BlockedIdx >= 0 && out.blocked < 0 {
+			out.blocked = r.BlockedIdx
 		}
-		msgs += r.Messages
-		vol += r.Volume
-		fs.Dropped += r.Dropped
-		fs.Duplicated += r.Duplicated
-		fs.DeadLetters += r.DeadLetters
-		if r.Stall > fs.Stall {
-			fs.Stall = r.Stall
+		out.msgs += r.Messages
+		out.vol += r.Volume
+		out.fs.Dropped += r.Dropped
+		out.fs.Duplicated += r.Duplicated
+		out.fs.DeadLetters += r.DeadLetters
+		if r.Stall > out.fs.Stall {
+			out.fs.Stall = r.Stall
 		}
 	}
 
@@ -185,141 +150,50 @@ func (c *Coordinator) step(round int, res *Result, crashed []graph.ID) (doneTota
 	route := make([][]PartMsg, len(links))
 	for _, r := range results {
 		for _, m := range r.Msgs {
-			d := c.part.shardOf(m.To)
+			d := p.part.shardOf(m.To)
 			route[d] = append(route[d], m)
 		}
 	}
 	for s, l := range links {
 		if err := l.Deliver(round, route[s]); err != nil {
-			return 0, 0, -1, 0, err
+			return err
 		}
 	}
-	maxInbox := 0
 	for _, l := range links {
 		mi, err := l.DeliverResult()
 		if err != nil {
-			return 0, 0, -1, 0, err
+			return err
 		}
-		if mi > maxInbox {
-			maxInbox = mi
-		}
-	}
-
-	res.Messages += msgs
-	res.Volume += vol
-	if c.Faults.active() && fs.any() {
-		res.Dropped += fs.Dropped
-		res.Duplicated += fs.Duplicated
-		res.DeadLetters += fs.DeadLetters
-		res.Stall += fs.Stall
-		if fo, ok := obs.(FaultObserver); ok {
-			fo.FaultRound(fs)
+		if mi > out.maxInbox {
+			out.maxInbox = mi
 		}
 	}
 	if obs != nil {
-		if wo, ok := obs.(WireObserver); ok {
-			if dIn, dOut, metered := c.meterDelta(); metered {
-				wo.WireRound(round, dIn, dOut)
-			}
-		}
-		obs.RoundEnd(RoundStats{
-			Round:    round,
-			Nodes:    c.ix.NumNodes(),
-			Shards:   len(links),
-			Messages: msgs,
-			Volume:   vol,
-			Done:     doneTotal,
-			MaxInbox: maxInbox,
-		})
+		out.wireIn, out.wireOut, out.metered = p.meterDelta()
 	}
-	return doneTotal, deadNotDone, blockedIdx, blockedRound, nil
+	return nil
 }
 
-// Run executes the partitioned program until every node is Done, or
-// fails after maxRounds rounds, following Engine.Run's control flow
-// decision for decision.
-func (c *Coordinator) Run(maxRounds int) (*Result, error) {
-	if c.ran {
-		return nil, fmt.Errorf("dist: Coordinator.Run called twice; protocol state is terminal after a run — build a new coordinator")
-	}
-	c.ran = true
-	if err := c.initFaults(); err != nil {
-		return nil, err
-	}
-	n := c.ix.NumNodes()
-	faultSpec, faultSeed := "", uint64(0)
-	if c.Faults.active() {
-		faultSpec, faultSeed = c.Faults.Spec, c.Faults.Seed
-	}
-	for s, l := range c.part.Links {
-		err := l.Start(ShardConfig{
-			Lo: c.part.Ranges[s].Lo, Hi: c.part.Ranges[s].Hi,
-			Program: c.program, Params: c.params,
-			FaultSpec: faultSpec, FaultSeed: faultSeed,
-			MaxRounds: maxRounds,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	c.meterDelta() // baseline: Start/Session traffic is not a round's
-
-	obs := c.Observer
-	if obs != nil {
-		obs.RunStart(n, c.ix.NumEdges())
-	}
-	res := &Result{}
-	crashed := c.markCrashes(0)
-	doneTotal, deadNotDone, blockedIdx, blockedRound, err := c.step(0, res, crashed)
-	if err != nil {
-		return nil, err
-	}
-	for doneTotal != n {
-		if deadNotDone > 0 && doneTotal+deadNotDone == n {
-			return nil, fmt.Errorf("dist: node %d crashed at round %d and cannot finish; all surviving nodes are done",
-				c.ix.IDOf(int(blockedIdx)), blockedRound)
-		}
-		if res.Rounds >= maxRounds {
-			return nil, fmt.Errorf("protocol did not terminate within %d rounds", maxRounds)
-		}
-		res.Rounds++
-		crashed = c.markCrashes(res.Rounds)
-		doneTotal, deadNotDone, blockedIdx, blockedRound, err = c.step(res.Rounds, res, crashed)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	c.outByIdx = make([]any, n)
-	for s, l := range c.part.Links {
+// outputs fetches and decodes every node's output by snapshot index.
+func (p *partStep) outputs() error {
+	p.outByIdx = make([]any, p.part.Ranges[len(p.part.Ranges)-1].Hi)
+	for s, l := range p.part.Links {
 		data, err := l.Outputs()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rg := c.part.Ranges[s]
+		rg := p.part.Ranges[s]
 		if len(data) != int(rg.Hi-rg.Lo) {
-			return nil, fmt.Errorf("dist: shard %d returned %d outputs for range [%d, %d)", s, len(data), rg.Lo, rg.Hi)
+			return fmt.Errorf("dist: shard %d returned %d outputs for range [%d, %d)", s, len(data), rg.Lo, rg.Hi)
 		}
 		for j, d := range data {
-			out, err := c.prog.DecodeOutput(int(rg.Lo)+j, d)
+			i := int(rg.Lo) + j
+			o, err := p.prog.DecodeOutput(i, d)
 			if err != nil {
-				return nil, fmt.Errorf("dist: output decoding failed for index %d: %w", int(rg.Lo)+j, err)
+				return fmt.Errorf("dist: output decoding failed for index %d: %w", i, err)
 			}
-			c.outByIdx[int(rg.Lo)+j] = out
+			p.outByIdx[i] = o
 		}
 	}
-	if !c.SkipOutputs {
-		res.Outputs = make(map[graph.ID]any, n)
-		for i, v := range c.ix.IDs() {
-			res.Outputs[v] = c.outByIdx[i]
-		}
-	}
-	if obs != nil {
-		obs.RunEnd(res.Rounds)
-	}
-	return res, nil
+	return nil
 }
-
-// OutputsByIndex returns every node's decoded output by snapshot index.
-// Valid after a successful Run, regardless of SkipOutputs.
-func (c *Coordinator) OutputsByIndex() []any { return c.outByIdx }

@@ -1,19 +1,32 @@
 package dist
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// withMode runs fn with DefaultMode temporarily set to m.
-func withMode(t *testing.T, m ExecMode, fn func()) {
+// testProcs is the GOMAXPROCS sweep of the cross-worker determinism
+// tests. The first entry — one worker, running the whole node range on
+// the calling goroutine — is the reference.
+var testProcs = []int{1, 2, 4}
+
+// withProcs runs fn with GOMAXPROCS temporarily set to procs.
+func withProcs(t *testing.T, procs int, fn func()) {
 	t.Helper()
-	old := DefaultMode
-	DefaultMode = m
-	defer func() { DefaultMode = old }()
+	old := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(old)
 	fn()
+}
+
+// runWithProcs runs eng at GOMAXPROCS = procs.
+func runWithProcs(t *testing.T, procs int, eng *Engine, maxRounds int) (*Result, error) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(old)
+	return eng.Run(maxRounds)
 }
 
 // floodFingerprint captures everything observable about a flood run: the
@@ -70,9 +83,9 @@ func compareFloodRuns(t *testing.T, name string, want, got floodFingerprint) {
 }
 
 // TestFloodDeterministicAcrossModes checks the central engine guarantee:
-// the pooled, per-node-goroutine, and sequential schedules produce
-// bit-for-bit identical results — same counters, same per-node record
-// sequences — on an E4/E6-style chordal workload.
+// every worker count produces bit-for-bit identical results — same
+// counters, same per-node record sequences — on an E4/E6-style chordal
+// workload.
 func TestFloodDeterministicAcrossModes(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"chordal": gen.RandomChordal(200, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 11),
@@ -82,10 +95,10 @@ func TestFloodDeterministicAcrossModes(t *testing.T) {
 	for name, g := range graphs {
 		for _, radius := range []int{1, 3, 6} {
 			var ref floodFingerprint
-			withMode(t, ModeSequential, func() { ref = floodRun(t, g, radius) })
-			for _, m := range []ExecMode{ModePooled, ModePerNode} {
+			withProcs(t, testProcs[0], func() { ref = floodRun(t, g, radius) })
+			for _, procs := range testProcs[1:] {
 				var got floodFingerprint
-				withMode(t, m, func() { got = floodRun(t, g, radius) })
+				withProcs(t, procs, func() { got = floodRun(t, g, radius) })
 				compareFloodRuns(t, name, ref, got)
 			}
 		}
@@ -158,7 +171,7 @@ func (p *countingProtocol) Round(ctx *Context, inbox []Message) {
 func (p *countingProtocol) Done() bool  { return p.rounds >= p.limit }
 func (p *countingProtocol) Output() any { return p.sum }
 
-// TestEngineStressAllModes drives all three schedules over several
+// TestEngineStressAllModes drives every swept worker count over several
 // graphs; run with -race this doubles as the engine's data-race gate.
 func TestEngineStressAllModes(t *testing.T) {
 	graphs := []*graph.Graph{
@@ -168,12 +181,11 @@ func TestEngineStressAllModes(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		var ref map[graph.ID]any
-		for _, m := range []ExecMode{ModeSequential, ModePooled, ModePerNode} {
+		for _, procs := range testProcs {
 			eng := NewEngine(g, func(v graph.ID) Protocol {
 				return &countingProtocol{limit: 8}
 			})
-			eng.Mode = m
-			res, err := eng.Run(10)
+			res, err := runWithProcs(t, procs, eng, 10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,8 +195,8 @@ func TestEngineStressAllModes(t *testing.T) {
 			}
 			for v, want := range ref {
 				if res.Outputs[v] != want {
-					t.Fatalf("graph %d mode %d node %d: output %v, want %v",
-						gi, m, v, res.Outputs[v], want)
+					t.Fatalf("graph %d procs %d node %d: output %v, want %v",
+						gi, procs, v, res.Outputs[v], want)
 				}
 			}
 		}

@@ -5,16 +5,21 @@
 // send an unbounded message to each neighbor; the cost of an algorithm is
 // the number of communication rounds.
 //
-// The engine runs on a frozen graph.Indexed snapshot: nodes are dense
-// indices, inboxes are per-node slices reused across rounds, and messages
-// are delivered by walking senders in index order, which yields the
-// deterministic (sender, queue position) delivery order without sorting.
-// Per-round work is sharded over a bounded worker pool sized by
-// GOMAXPROCS; node programs execute genuinely concurrently but interact
-// only through messages delivered at round boundaries, so every schedule
-// produces identical results. The legacy goroutine-per-node schedule and
-// a sequential schedule are kept for determinism cross-checks and
-// debugging.
+// One round loop, Engine.Run, owns the round contract: the Init step,
+// the termination, crash-blocked and max-rounds checks, the crash
+// schedule, and the RoundStats/FaultStats accounting. It runs each step
+// on one of two backends. The in-process backend runs on a frozen
+// graph.Indexed snapshot: nodes are dense indices, inboxes are per-node
+// slices reused across rounds, and messages are delivered by walking
+// senders in index order, which yields the deterministic (sender, queue
+// position) delivery order without sorting. Per-round work is sharded
+// into contiguous index ranges over a worker pool sized by GOMAXPROCS
+// (one worker runs the whole range on the calling goroutine); node
+// programs execute genuinely concurrently but interact only through
+// messages delivered at round boundaries, so every worker count produces
+// identical results. The partition backend (NewCoordinator) runs each
+// step on the ShardRunners behind a Partition's links, which execute
+// their ranges with the same per-node code and fault decision.
 package dist
 
 import (
@@ -24,7 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -66,41 +70,20 @@ type Quiescent interface {
 	QuiescentRound()
 }
 
-// ExecMode selects how the engine schedules per-node work within a round.
-// Every mode produces identical results; they differ only in scheduling.
-type ExecMode int
-
-const (
-	// ModePooled shards the node range over a bounded worker pool sized
-	// by GOMAXPROCS. This is the default: it scales to 10^5-node graphs
-	// without paying one goroutine per node per round.
-	ModePooled ExecMode = iota
-	// ModePerNode launches one goroutine per node per round (the legacy
-	// schedule, kept for determinism cross-checks).
-	ModePerNode
-	// ModeSequential runs all nodes on the calling goroutine (useful
-	// under -race or for bisecting nondeterminism suspicions).
-	ModeSequential
-)
-
-// DefaultMode is the schedule NewEngine assigns to new engines. The
-// determinism cross-check tests override it temporarily; production code
-// leaves it alone.
-var DefaultMode = ModePooled
-
 // RoundStats is the per-round summary handed to a RoundObserver at each
 // round boundary. Every field except Shards is a pure function of
-// (graph, protocol) and therefore identical across all ExecModes; Shards
-// describes the schedule that happened to run the round.
+// (graph, protocol) and therefore identical at every worker count and on
+// every partitioning; Shards describes the schedule that happened to run
+// the round.
 type RoundStats struct {
 	// Round is the step index: 0 for the Init step, then the 1-based
 	// communication round.
 	Round int
 	// Nodes is the network size.
 	Nodes int
-	// Shards is the number of worker shards the schedule used for this
-	// round (1 in sequential mode, 0 in per-node mode, where shard
-	// boundaries do not exist).
+	// Shards is the number of shards that ran this round: the worker
+	// ranges of the in-process backend (1 with a single worker), or the
+	// partition's shard count.
 	Shards int
 	// Messages counts the point-to-point messages queued during this
 	// round (delivered at the next round boundary).
@@ -135,7 +118,7 @@ type RoundObserver interface {
 	// the worker-shard count of RoundStats.Shards.
 	RoundStart(round, shards int)
 	// ShardStart/ShardEnd bracket one worker shard's per-node work
-	// within the round (pooled and sequential schedules only).
+	// within the round (in-process backend only).
 	ShardStart(shard int)
 	ShardEnd(shard int)
 	// RoundEnd fires after the round's messages are delivered.
@@ -257,6 +240,16 @@ func (c *Context) Broadcast(payload any) {
 	c.targets = append(c.targets, broadcastTarget)
 }
 
+// receivers returns the receiver indices of outbox entry k: a Send's
+// target (stored in one) or, for a Broadcast, the neighbor row.
+func (c *Context) receivers(k int, one *[1]int32) []int32 {
+	if to := c.targets[k]; to >= 0 {
+		one[0] = to
+		return one[:]
+	}
+	return c.nbrIdx
+}
+
 // Sizer lets payload types report a size in abstract units (e.g. record
 // counts) for bandwidth accounting; payloads without it count as 1 unit.
 type Sizer interface {
@@ -285,16 +278,13 @@ type Result struct {
 	Stall       int
 }
 
-// Engine executes a Protocol instance on every node of a graph.
+// Engine runs the round loop: it executes a Protocol instance on every
+// node of a graph, in-process (NewEngine, NewEngineIndexed) or on the
+// shards of a Partition (NewCoordinator). Both backends run the same
+// round loop, so termination, errors, fault schedules and observer
+// events cannot drift between them.
 type Engine struct {
-	ix    *graph.Indexed
-	progs []Protocol // by node index
-	// Mode selects the per-round schedule; all modes give identical
-	// results.
-	Mode ExecMode
-	// Sequential forces ModeSequential regardless of Mode (legacy knob,
-	// kept for existing callers).
-	Sequential bool
+	ix *graph.Indexed
 	// Observer, when non-nil, receives per-round events (see
 	// RoundObserver). Nil — the default — is the zero-cost fast path:
 	// no callback, no inbox high-water scan, no extra allocation.
@@ -304,54 +294,47 @@ type Engine struct {
 	// delivery loop with no per-message decision.
 	Faults *Faults
 	// SkipOutputs, when true, leaves Result.Outputs nil. Callers that
-	// keep their own by-index references to the protocols (the
-	// index-space flood collection) set it to skip the n-entry map build.
+	// read outputs by index (OutputsByIndex, or their own references to
+	// the protocols) set it to skip the n-entry map build.
 	SkipOutputs bool
 
-	// done[i] mirrors progs[i].Done() after the node's latest step;
-	// doneCount is the number of true entries. Maintained inside the
-	// round loop so termination needs no O(n) rescan per round.
-	done      []bool
-	doneCount atomic.Int64
-
-	// ran guards against a second Run: progs hold terminal protocol
-	// state after a run, so rerunning them would report a bogus 0-round
-	// success.
+	// ran guards against a second Run: node state is terminal after a
+	// run, so rerunning it would report a bogus 0-round success.
 	ran bool
 
-	// crashAt[i] is the step at which node i fail-stops (-1 = never);
-	// dead[i] flips once that step is reached. Both nil without a crash
-	// schedule.
-	crashAt []int
-	dead    []bool
+	// part, when non-nil, runs every step on a partition's shards; the
+	// fields below it belong to the in-process backend.
+	part *partStep
+
+	// nodes holds every node's protocol, context, inbox and Done state;
+	// next is the inbox buffer collect fills, swapped with nodes.inbox
+	// at each step so the backing arrays are reused across rounds.
+	nodes nodeRange
+	next  [][]Message
 
 	// deliver is collect's per-receiver message-count scratch, used to
 	// reserve each inbox exactly once per round instead of growing it by
-	// repeated append-doubling.
+	// repeated append-doubling; touched is collect's scratch list of
+	// this round's receivers.
 	deliver []int32
-
-	// quiescent is true when every node's protocol implements Quiescent;
-	// curRound is the step index shared with the contexts; skipInbox,
-	// when non-nil, is the current round's inbox buffer — runRange
-	// passes over nodes whose inbox is empty; touched is collect's
-	// scratch list of this round's receivers.
-	quiescent bool
-	curRound  int32
-	skipInbox [][]Message
-	touched   []int32
+	touched []int32
 
 	// inboxSlab holds the fault-free path's inbox backing arrays: each
 	// round's inboxes are carved out of one slab sized by the counting
-	// pass, double-buffered in step with cur/next so a slab is never
-	// rewritten while its slices are being consumed.
+	// pass, double-buffered in step with the inbox buffers so a slab is
+	// never rewritten while its slices are being consumed.
 	inboxSlab [2][]Message
 	slabIdx   int
 
-	// failMu/failErr capture the first node-program panic of the run;
-	// worker goroutines recover so a panicking node cannot deadlock the
-	// pool, and Run surfaces the failure as an error.
-	failMu  sync.Mutex
-	failErr error
+	// failMu/failShard/failErr capture the node-program panic of the
+	// lowest-index worker shard in the step; workers recover so a
+	// panicking node cannot deadlock the pool, and Run surfaces the
+	// failure as an error. Shards are ascending index ranges and each
+	// stops at its first panic, so the kept failure is the lowest
+	// panicking node's at every worker count.
+	failMu    sync.Mutex
+	failShard int
+	failErr   error
 }
 
 // NewEngine creates an engine running factory(v) on every node v of g.
@@ -363,20 +346,32 @@ func NewEngine(g *graph.Graph, factory func(v graph.ID) Protocol) *Engine {
 // callers that run many protocols over the same graph (e.g. iterated
 // pruning) pay the snapshot cost once.
 func NewEngineIndexed(ix *graph.Indexed, factory func(v graph.ID) Protocol) *Engine {
-	e := &Engine{
-		ix:    ix,
-		progs: make([]Protocol, ix.NumNodes()),
-		Mode:  DefaultMode,
-	}
-	quiescent := ix.NumNodes() > 0
-	for i, v := range ix.IDs() {
-		e.progs[i] = factory(v)
-		if _, ok := e.progs[i].(Quiescent); !ok {
-			quiescent = false
-		}
-	}
-	e.quiescent = quiescent
+	e := &Engine{ix: ix}
+	n := ix.NumNodes()
+	e.nodes.init(ix, 0, n, func(i int) Protocol { return factory(ix.IDOf(i)) })
+	e.next = make([][]Message, n)
 	return e
+}
+
+// roundOut is what one step reports to the round loop: the delivery
+// accounting, the termination state after the step, and the shard
+// count that ran it.
+type roundOut struct {
+	shards   int
+	msgs     int
+	vol      int
+	maxInbox int // only computed with an observer attached
+	fs       FaultStats
+	// done counts nodes reporting Done; deadNotDone counts crashed
+	// nodes that are not, and blocked is the smallest such index (-1
+	// when none).
+	done        int
+	deadNotDone int
+	blocked     int32
+	// wireIn/wireOut are the bytes moved during the step by links that
+	// implement WireMeter (metered reports whether any does).
+	wireIn, wireOut int64
+	metered         bool
 }
 
 // Run executes the protocol until every node is Done, or fails after
@@ -389,76 +384,49 @@ func (e *Engine) Run(maxRounds int) (*Result, error) {
 		return nil, fmt.Errorf("dist: Engine.Run called twice; protocol state is terminal after a run — build a new engine")
 	}
 	e.ran = true
-	if err := e.initFaults(); err != nil {
+	crash, err := newCrashTable(e.ix, e.Faults)
+	if err != nil {
 		return nil, err
 	}
-	n := e.ix.NumNodes()
-	ctxs := make([]Context, n)
-	for i := range ctxs {
-		ctxs[i] = Context{
-			id:     e.ix.IDOf(i),
-			idx:    int32(i),
-			nbrIDs: e.ix.NeighborIDs(i),
-			nbrIdx: e.ix.NeighborIndices(i),
-			ix:     e.ix,
-			round:  &e.curRound,
+	if e.part != nil {
+		if err := e.part.begin(e.Faults, maxRounds); err != nil {
+			return nil, err
 		}
+	} else {
+		e.nodes.crash = crash
 	}
-	// cur/next are per-node inboxes indexed by node index, double-buffered
-	// so the backing arrays are reused across rounds.
-	cur := make([][]Message, n)
-	next := make([][]Message, n)
-
+	n := e.ix.NumNodes()
 	obs := e.Observer
-	e.done = make([]bool, n)
-	e.doneCount.Store(0)
 	if obs != nil {
 		obs.RunStart(n, e.ix.NumEdges())
 	}
 
 	res := &Result{}
-	e.curRound = 0
-	crashed := e.markCrashes(0)
-	shards := e.step(obs, 0, func(i int) {
-		e.progs[i].Init(&ctxs[i])
-	})
-	if err := e.failure(); err != nil {
-		return nil, err
-	}
-	e.collect(obs, 0, shards, ctxs, next, res, crashed)
-
-	for e.doneCount.Load() != int64(n) {
-		if v, r, blocked := e.crashBlocked(); blocked {
-			return nil, fmt.Errorf("dist: node %d crashed at round %d and cannot finish; all surviving nodes are done", v, r)
+	out, err := e.round(obs, 0, crash, res)
+	for err == nil && out.done != n {
+		if out.deadNotDone > 0 && out.done+out.deadNotDone == n {
+			return nil, fmt.Errorf("dist: node %d crashed at round %d and cannot finish; all surviving nodes are done",
+				e.ix.IDOf(int(out.blocked)), crash[out.blocked])
 		}
 		if res.Rounds >= maxRounds {
 			return nil, fmt.Errorf("protocol did not terminate within %d rounds", maxRounds)
 		}
 		res.Rounds++
-		cur, next = next, cur
-		e.curRound = int32(res.Rounds)
-		if e.quiescent {
-			e.skipInbox = cur
-		}
-		crashed = e.markCrashes(res.Rounds)
-		shards = e.step(obs, res.Rounds, func(i int) {
-			// Truncate the inbox as it is consumed (the slice view handed
-			// to Round keeps its own length), so collect never needs an
-			// O(n) truncation pass on the fault-free path.
-			inbox := cur[i]
-			cur[i] = cur[i][:0]
-			e.progs[i].Round(&ctxs[i], inbox)
-		})
-		if err := e.failure(); err != nil {
-			return nil, err
-		}
-		e.collect(obs, res.Rounds, shards, ctxs, next, res, crashed)
+		out, err = e.round(obs, res.Rounds, crash, res)
+	}
+	if err != nil {
+		return nil, err
 	}
 
+	if e.part != nil {
+		if err := e.part.outputs(); err != nil {
+			return nil, err
+		}
+	}
 	if !e.SkipOutputs {
 		res.Outputs = make(map[graph.ID]any, n)
 		for i, v := range e.ix.IDs() {
-			res.Outputs[v] = e.progs[i].Output()
+			res.Outputs[v] = e.output(i)
 		}
 	}
 	if obs != nil {
@@ -467,176 +435,142 @@ func (e *Engine) Run(maxRounds int) (*Result, error) {
 	return res, nil
 }
 
-// step runs fn for every node index according to the engine mode,
-// tracking per-node Done transitions so the run loop never rescans, and
-// returns the worker-shard count it actually used (1 sequential, 0
-// per-node) so RoundEnd reports the same figure RoundStart announced
-// even if GOMAXPROCS changes mid-run. Shards are contiguous index
-// ranges, so the work partition is deterministic; node programs touch
-// only their own state and context, so any schedule is race-free and
-// equivalent. The observer's round/shard hooks bracket the work
-// (per-node mode reports zero shards: with one goroutine per node there
-// is no shard boundary worth timing).
-//
-//chordalvet:hotpath budget=3 engine round loop: runs once per round per protocol
-func (e *Engine) step(obs RoundObserver, round int, fn func(i int)) int {
-	n := len(e.progs)
-	mode := e.Mode
-	if e.Sequential {
-		mode = ModeSequential
+// OutputsByIndex returns every node's output by snapshot index. Valid
+// after a successful Run, regardless of SkipOutputs.
+func (e *Engine) OutputsByIndex() []any {
+	if e.part != nil {
+		return e.part.outByIdx
 	}
-	switch mode {
-	case ModeSequential:
+	outs := make([]any, len(e.nodes.progs))
+	for i := range outs {
+		outs[i] = e.output(i)
+	}
+	return outs
+}
+
+// output returns the output of the node at snapshot index i.
+func (e *Engine) output(i int) any {
+	if e.part != nil {
+		return e.part.outByIdx[i]
+	}
+	return e.nodes.progs[i].Output()
+}
+
+// round runs step round on the engine's backend and charges it: the
+// result counters, the FaultRound/WireRound callbacks and RoundEnd.
+func (e *Engine) round(obs RoundObserver, round int, crash crashTable, res *Result) (roundOut, error) {
+	out := roundOut{fs: FaultStats{Round: round, Crashed: crash.crashedAt(e.ix, round)}}
+	if e.part != nil {
+		if err := e.part.step(obs, round, &out); err != nil {
+			return out, err
+		}
+	} else {
+		e.nodes.curRound = int32(round)
+		e.nodes.inbox, e.next = e.next, e.nodes.inbox
+		out.shards = e.step(obs, round)
+		if err := e.failure(); err != nil {
+			return out, err
+		}
+		e.collect(obs, round, &out)
+		out.done = int(e.nodes.doneCount.Load())
+		out.deadNotDone, out.blocked = e.nodes.blocked(round)
+	}
+
+	res.Messages += out.msgs
+	res.Volume += out.vol
+	if e.Faults.active() && out.fs.any() {
+		res.Dropped += out.fs.Dropped
+		res.Duplicated += out.fs.Duplicated
+		res.DeadLetters += out.fs.DeadLetters
+		res.Stall += out.fs.Stall
+		if fo, ok := obs.(FaultObserver); ok {
+			fo.FaultRound(out.fs)
+		}
+	}
+	if obs != nil {
+		if wo, ok := obs.(WireObserver); ok && out.metered {
+			wo.WireRound(round, out.wireIn, out.wireOut)
+		}
+		obs.RoundEnd(RoundStats{
+			Round:    round,
+			Nodes:    e.ix.NumNodes(),
+			Shards:   out.shards,
+			Messages: out.msgs,
+			Volume:   out.vol,
+			Done:     out.done,
+			MaxInbox: out.maxInbox,
+		})
+	}
+	return out, nil
+}
+
+// step executes step round on every node of the in-process backend and
+// returns the worker-shard count it used, so RoundEnd reports the same
+// figure RoundStart announced even if GOMAXPROCS changes mid-run. The
+// node range is split into at most GOMAXPROCS contiguous shards, so the
+// work partition is deterministic; node programs touch only their own
+// state and context, so any worker count is race-free and equivalent.
+// With one worker the range runs on the calling goroutine. The
+// observer's round/shard hooks bracket the work.
+//
+//chordalvet:hotpath budget=2 engine round loop: runs once per round per protocol
+func (e *Engine) step(obs RoundObserver, round int) int {
+	n := len(e.nodes.progs)
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
 		if obs != nil {
 			obs.RoundStart(round, 1)
 		}
-		e.runShard(obs, 0, 0, n, fn)
+		e.runShard(obs, round, 0, 0, n)
 		return 1
-	case ModePerNode:
-		if obs != nil {
-			obs.RoundStart(round, 0)
-		}
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				defer wg.Done()
-				if err := e.runRange(i, i+1, fn); err != nil {
-					e.recordFailure(err)
-				}
-			}(i)
-		}
-		wg.Wait()
-		return 0
-	default: // ModePooled
-		workers := runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = n
-		}
-		if workers <= 1 {
-			if obs != nil {
-				obs.RoundStart(round, 1)
-			}
-			e.runShard(obs, 0, 0, n, fn)
-			return 1
-		}
-		chunk := (n + workers - 1) / workers
-		shards := (n + chunk - 1) / chunk
-		if obs != nil {
-			obs.RoundStart(round, shards)
-		}
-		var wg sync.WaitGroup
-		shard := 0
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(shard, lo, hi int) {
-				defer wg.Done()
-				e.runShard(obs, shard, lo, hi, fn)
-			}(shard, lo, hi)
-			shard++
-		}
-		wg.Wait()
-		return shards
 	}
+	chunk := (n + workers - 1) / workers
+	shards := (n + chunk - 1) / chunk
+	if obs != nil {
+		obs.RoundStart(round, shards)
+	}
+	var wg sync.WaitGroup
+	shard := 0
+	for lo := 0; lo < n; lo += chunk {
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		wg.Add(1)
+		go func(shard, lo, hi int) {
+			defer wg.Done()
+			e.runShard(obs, round, shard, lo, hi)
+		}(shard, lo, hi)
+		shard++
+	}
+	wg.Wait()
+	return shards
 }
 
 // runShard executes one contiguous index range on the calling goroutine,
 // bracketing it with the observer's shard hooks and capturing any
 // node-program failure.
-func (e *Engine) runShard(obs RoundObserver, shard, lo, hi int, fn func(i int)) {
+func (e *Engine) runShard(obs RoundObserver, round, shard, lo, hi int) {
 	if obs != nil {
 		obs.ShardStart(shard)
 	}
-	if err := e.runRange(lo, hi, fn); err != nil {
-		e.recordFailure(err)
+	if err := e.nodes.exec(round, lo, hi); err != nil {
+		e.recordFailure(shard, err)
 	}
 	if obs != nil {
 		obs.ShardEnd(shard)
 	}
 }
 
-// runRange executes fn for each node index in [lo, hi), skipping crashed
-// nodes, folding the per-node Done checks into the loop so they run in
-// parallel with the round work, and publishing the range's done-delta
-// with a single atomic add (flushed even on panic, so partial progress
-// stays counted). A panicking node program is recovered into an error:
-// the worker must return normally or the pool's WaitGroup would deadlock
-// the run.
-func (e *Engine) runRange(lo, hi int, fn func(i int)) (err error) {
-	delta := 0
-	defer func() {
-		if delta != 0 {
-			e.doneCount.Add(int64(delta))
-		}
-		if r := recover(); r != nil {
-			err = fmt.Errorf("dist: node program panicked: %v", r)
-		}
-	}()
-	for i := lo; i < hi; i++ {
-		if e.dead != nil && e.dead[i] {
-			continue
-		}
-		if e.skipInbox != nil && len(e.skipInbox[i]) == 0 {
-			// Empty inbox on a Quiescent protocol: the call would be a
-			// no-op, so neither state nor Done can change.
-			continue
-		}
-		fn(i)
-		if d := e.progs[i].Done(); d != e.done[i] {
-			e.done[i] = d
-			if d {
-				delta++
-			} else {
-				delta--
-			}
-		}
-	}
-	return nil
-}
-
-// deliverFaulty routes one expanded message copy through the fault
-// schedule: dead-letter to crashed receivers, then the plan's
-// drop/delay/dup decision keyed by (round, sender index, queue
-// position).
-func (e *Engine) deliverFaulty(msg Message, to int32, round, sender, pos, sz int, perturb bool, plan fault.Plan, next [][]Message, fs *FaultStats, msgs, vol *int) {
-	// Messages queued in step round are delivered at step round+1; a
-	// receiver that crashes at or before that step never reads them.
-	if e.crashAt != nil && e.crashAt[to] >= 0 && e.crashAt[to] <= round+1 {
-		fs.DeadLetters++
-		return
-	}
-	var act fault.Action
-	if perturb {
-		act = plan.Decide(round, sender, pos)
-	}
-	if act.Drop {
-		fs.Dropped++
-		return
-	}
-	if act.Delay > fs.Stall {
-		fs.Stall = act.Delay
-	}
-	next[to] = append(next[to], msg)
-	*msgs++
-	*vol += sz
-	if act.Dup {
-		fs.Duplicated++
-		next[to] = append(next[to], msg)
-		*msgs++
-		*vol += sz
-	}
-}
-
-// recordFailure keeps the first node-program failure of the run; Run
-// checks for one after every step.
-func (e *Engine) recordFailure(err error) {
+// recordFailure keeps the node-program failure of the lowest-index
+// shard; Run checks for one after every step.
+func (e *Engine) recordFailure(shard int, err error) {
 	e.failMu.Lock()
-	if e.failErr == nil {
-		e.failErr = err
+	if e.failErr == nil || shard < e.failShard {
+		e.failShard, e.failErr = shard, err
 	}
 	e.failMu.Unlock()
 }
@@ -653,20 +587,19 @@ func (e *Engine) failure() error {
 // already sorted by (sender, queue position) — the order the legacy
 // engine produced with a global stable sort — without sorting. Inbox
 // slices are truncated and refilled in place, so steady-state rounds
-// allocate nothing. With an observer attached it also reports the
-// round's message/volume deltas and the inbox high-water mark; shards is
-// the count step actually used, so RoundStart and RoundEnd always agree.
+// allocate nothing. It charges the round's message/volume counts and,
+// with an observer attached, the inbox high-water mark to out.
 //
 // With a fault schedule attached, delivery runs on this single driving
-// goroutine in the same (sender, queue position) order, so each
-// message's fault coordinates — and hence the whole schedule — are
-// identical under every ExecMode. Without one, the loop is the original
-// branch-free path.
-func (e *Engine) collect(obs RoundObserver, round, shards int, ctxs []Context, next [][]Message, res *Result, crashed []graph.ID) {
+// goroutine in the same (sender, queue position) order, deciding every
+// copy with Faults.copies — the decision ShardRunner applies — so each
+// message's fault coordinates, and hence the whole schedule, are
+// identical at every worker count and on every partitioning. Without
+// one, the loop is the original branch-free path.
+func (e *Engine) collect(obs RoundObserver, round int, out *roundOut) {
+	ctxs, next := e.nodes.ctxs, e.next
 	msgs, vol := 0, 0
-	var fs FaultStats
-	faulty := e.Faults.active()
-	if !faulty {
+	if !e.Faults.active() {
 		// Counting pass: reserve every receiving inbox at its exact fill
 		// before delivering, so a round's delivery performs at most one
 		// allocation per inbox whose high-water mark rises (instead of a
@@ -739,10 +672,7 @@ func (e *Engine) collect(obs RoundObserver, round, shards int, ctxs []Context, n
 		for i := range next {
 			next[i] = next[i][:0]
 		}
-		fs.Round = round
-		fs.Crashed = crashed
-		plan := e.Faults.Plan
-		perturb := plan.Perturbs()
+		var one [1]int32
 		for i := range ctxs {
 			c := &ctxs[i]
 			// pos is the queue position over the expanded send sequence —
@@ -754,13 +684,12 @@ func (e *Engine) collect(obs RoundObserver, round, shards int, ctxs []Context, n
 				if s, ok := msg.Payload.(Sizer); ok {
 					sz = s.PayloadSize()
 				}
-				if to := c.targets[k]; to >= 0 {
-					e.deliverFaulty(msg, to, round, i, pos, sz, perturb, plan, next, &fs, &msgs, &vol)
-					pos++
-					continue
-				}
-				for _, u := range c.nbrIdx {
-					e.deliverFaulty(msg, u, round, i, pos, sz, perturb, plan, next, &fs, &msgs, &vol)
+				for _, to := range c.receivers(k, &one) {
+					for range e.Faults.copies(e.nodes.crash, to, round, i, pos, &out.fs) {
+						next[to] = append(next[to], msg)
+						msgs++
+						vol += sz
+					}
 					pos++
 				}
 			}
@@ -768,32 +697,125 @@ func (e *Engine) collect(obs RoundObserver, round, shards int, ctxs []Context, n
 			c.targets = c.targets[:0]
 		}
 	}
-	res.Messages += msgs
-	res.Volume += vol
-	if faulty && fs.any() {
-		res.Dropped += fs.Dropped
-		res.Duplicated += fs.Duplicated
-		res.DeadLetters += fs.DeadLetters
-		res.Stall += fs.Stall
-		if fo, ok := obs.(FaultObserver); ok {
-			fo.FaultRound(fs)
-		}
-	}
+	out.msgs, out.vol = msgs, vol
 	if obs != nil {
-		maxInbox := 0
 		for i := range next {
-			if len(next[i]) > maxInbox {
-				maxInbox = len(next[i])
+			if len(next[i]) > out.maxInbox {
+				out.maxInbox = len(next[i])
 			}
 		}
-		obs.RoundEnd(RoundStats{
-			Round:    round,
-			Nodes:    len(ctxs),
-			Shards:   shards,
-			Messages: msgs,
-			Volume:   vol,
-			Done:     int(e.doneCount.Load()),
-			MaxInbox: maxInbox,
-		})
 	}
+}
+
+// nodeRange is the per-node state of one contiguous snapshot-index
+// range [lo, lo+len(progs)): the protocols, their contexts, the current
+// round's inboxes and the Done bookkeeping. The in-process backend holds
+// one range covering the snapshot and splits it over its workers; each
+// ShardRunner holds the range it hosts. Both execute every step through
+// exec, so the per-node step semantics exist once.
+type nodeRange struct {
+	lo        int
+	progs     []Protocol  // by local offset
+	ctxs      []Context   // by local offset
+	inbox     [][]Message // the current step's inboxes, by local offset
+	crash     crashTable  // by global index; nil without a crash schedule
+	quiescent bool        // every protocol implements Quiescent
+	curRound  int32       // the step index shared with the contexts
+
+	// done[j] mirrors progs[j].Done() after the node's latest step;
+	// doneCount is the number of true entries. Maintained inside exec
+	// so termination needs no O(n) rescan per round.
+	done      []bool
+	doneCount atomic.Int64
+}
+
+// init builds the protocols of global indices [lo, hi) with newNode and
+// their contexts on ix.
+func (r *nodeRange) init(ix *graph.Indexed, lo, hi int, newNode func(i int) Protocol) {
+	local := hi - lo
+	r.lo = lo
+	r.progs = make([]Protocol, local)
+	r.ctxs = make([]Context, local)
+	r.inbox = make([][]Message, local)
+	r.done = make([]bool, local)
+	r.quiescent = local > 0
+	for j := range r.progs {
+		i := lo + j
+		r.progs[j] = newNode(i)
+		if _, ok := r.progs[j].(Quiescent); !ok {
+			r.quiescent = false
+		}
+		r.ctxs[j] = Context{
+			id:     ix.IDOf(i),
+			idx:    int32(i),
+			nbrIDs: ix.NeighborIDs(i),
+			nbrIdx: ix.NeighborIndices(i),
+			ix:     ix,
+			round:  &r.curRound,
+		}
+	}
+}
+
+// exec runs step round on the local offsets [a, b) in index order:
+// Init at step 0, then Round with the node's inbox — truncated as it is
+// consumed, so delivery never needs a truncation pass — and nothing on
+// crashed nodes. A Quiescent protocol's empty-inbox Round would be a
+// no-op, so it is skipped. The Done checks fold into the loop and the
+// range's done-delta is published with one atomic add, flushed even on
+// panic so partial progress stays counted. A panicking node program
+// stops the range and is recovered into an error: a pool worker must
+// return normally or its WaitGroup would deadlock the run.
+func (r *nodeRange) exec(round, a, b int) (err error) {
+	delta := 0
+	defer func() {
+		if delta != 0 {
+			r.doneCount.Add(int64(delta))
+		}
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("dist: node program panicked: %v", rec)
+		}
+	}()
+	for j := a; j < b; j++ {
+		if r.crash.dead(r.lo+j, round) {
+			continue
+		}
+		if round == 0 {
+			r.progs[j].Init(&r.ctxs[j])
+		} else {
+			inbox := r.inbox[j]
+			if r.quiescent && len(inbox) == 0 {
+				continue
+			}
+			r.inbox[j] = inbox[:0]
+			r.progs[j].Round(&r.ctxs[j], inbox)
+		}
+		if d := r.progs[j].Done(); d != r.done[j] {
+			r.done[j] = d
+			if d {
+				delta++
+			} else {
+				delta--
+			}
+		}
+	}
+	return nil
+}
+
+// blocked counts the range's crashed-but-not-Done nodes after step round
+// and returns the smallest such global index (-1 when none): when every
+// other node is Done, the run can never terminate.
+func (r *nodeRange) blocked(round int) (deadNotDone int, first int32) {
+	first = -1
+	if r.crash == nil {
+		return 0, first
+	}
+	for j, d := range r.done {
+		if !d && r.crash.dead(r.lo+j, round) {
+			deadNotDone++
+			if first < 0 {
+				first = int32(r.lo + j)
+			}
+		}
+	}
+	return deadNotDone, first
 }

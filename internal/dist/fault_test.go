@@ -104,7 +104,7 @@ func TestDupAndDelayAbsorbed(t *testing.T) {
 
 // TestFaultScheduleDeterministicAcrossModes: same (graph, protocol,
 // seed, plan) must produce identical results — including the fault
-// counters and the per-round fault stream — under all three schedules.
+// counters and the per-round fault stream — at every worker count.
 func TestFaultScheduleDeterministicAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(150, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 5)
 	radius := 3
@@ -119,24 +119,24 @@ func TestFaultScheduleDeterministicAcrossModes(t *testing.T) {
 	}
 	var refRes *Result
 	var refRec *faultRecorder
-	withMode(t, ModeSequential, func() { refRes, refRec = run() })
-	for _, m := range []ExecMode{ModePooled, ModePerNode} {
+	withProcs(t, testProcs[0], func() { refRes, refRec = run() })
+	for _, m := range testProcs[1:] {
 		var gotRes *Result
 		var gotRec *faultRecorder
-		withMode(t, m, func() { gotRes, gotRec = run() })
+		withProcs(t, m, func() { gotRes, gotRec = run() })
 		if gotRes.Dropped != refRes.Dropped || gotRes.Duplicated != refRes.Duplicated ||
 			gotRes.Stall != refRes.Stall || gotRes.Messages != refRes.Messages ||
 			gotRes.Volume != refRes.Volume {
-			t.Fatalf("mode %d: fault counters diverged: %+v vs %+v", m, gotRes, refRes)
+			t.Fatalf("procs %d: fault counters diverged: %+v vs %+v", m, gotRes, refRes)
 		}
 		if len(gotRec.faults) != len(refRec.faults) {
-			t.Fatalf("mode %d: %d fault rounds, want %d", m, len(gotRec.faults), len(refRec.faults))
+			t.Fatalf("procs %d: %d fault rounds, want %d", m, len(gotRec.faults), len(refRec.faults))
 		}
 		for i := range refRec.faults {
 			w, g := refRec.faults[i], gotRec.faults[i]
 			if w.Round != g.Round || w.Dropped != g.Dropped || w.Duplicated != g.Duplicated ||
 				w.Stall != g.Stall || w.DeadLetters != g.DeadLetters {
-				t.Fatalf("mode %d fault round %d: %+v, want %+v", m, i, g, w)
+				t.Fatalf("procs %d fault round %d: %+v, want %+v", m, i, g, w)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -14,8 +13,9 @@ import (
 // message by fault.Plan) plus a crash schedule mapping node IDs to the
 // round at which they fail-stop. A nil *Faults on the engine keeps the
 // existing zero-cost delivery path; a non-nil plan is consulted once per
-// queued message at the round boundary, on the single goroutine that
-// drives delivery, so the schedule is identical under every ExecMode.
+// queued message at the round boundary, in (sender, queue position)
+// order with global coordinates, so the schedule is identical at every
+// worker count and on every partitioning.
 //
 // Semantics in the round-synchronous LOCAL model:
 //
@@ -142,78 +142,81 @@ type FaultObserver interface {
 	FaultRound(stats FaultStats)
 }
 
-// initFaults validates the crash schedule against the snapshot and
-// builds the per-index crash tables. Called by Run before the Init step.
-func (e *Engine) initFaults() error {
-	e.crashAt = nil
-	e.dead = nil
-	f := e.Faults
+// crashTable maps each snapshot index to the first step its node does
+// not execute (-1: never crashes). A nil table means no crash schedule.
+// The round loop, the in-process backend and every ShardRunner build
+// the same table from the same Faults, with newCrashTable.
+type crashTable []int
+
+// newCrashTable validates f's crash schedule against ix and builds its
+// table; nil when f schedules no crash.
+func newCrashTable(ix *graph.Indexed, f *Faults) (crashTable, error) {
 	if !f.active() || len(f.Crash) == 0 {
-		return nil
+		return nil, nil
 	}
-	n := e.ix.NumNodes()
-	e.crashAt = make([]int, n)
-	for i := range e.crashAt {
-		e.crashAt[i] = -1 // never crashes
+	ct := make(crashTable, ix.NumNodes())
+	for i := range ct {
+		ct[i] = -1
 	}
-	e.dead = make([]bool, n)
 	for v, r := range f.Crash {
-		i, ok := e.ix.IndexOf(v)
+		i, ok := ix.IndexOf(v)
 		if !ok {
-			return fmt.Errorf("dist: fault plan crashes node %d, which is not a node of the network", v)
+			return nil, fmt.Errorf("dist: fault plan crashes node %d, which is not a node of the network", v)
 		}
-		e.crashAt[i] = r
+		ct[i] = r
 	}
-	return nil
+	return ct, nil
 }
 
-// markCrashes flips nodes whose crash round is step into the dead set
-// and returns them in ID order (node index order = ID order). A dead
-// node that was not Done counts against termination; crashBlocked turns
-// that into a diagnosable error instead of a maxRounds timeout.
-func (e *Engine) markCrashes(step int) []graph.ID {
-	if e.crashAt == nil {
-		return nil
-	}
+// dead reports whether node i has crashed by step: a node crashed at
+// round r executes steps 0..r-1 only.
+func (ct crashTable) dead(i, step int) bool {
+	return ct != nil && ct[i] >= 0 && ct[i] <= step
+}
+
+// crashedAt returns the nodes that crash at step, in ID order (snapshot
+// indices are assigned in increasing ID order). A dead node that is not
+// Done counts against termination; the round loop turns that into a
+// diagnosable error instead of a maxRounds timeout.
+func (ct crashTable) crashedAt(ix *graph.Indexed, step int) []graph.ID {
 	var crashed []graph.ID
-	for i, r := range e.crashAt {
+	for i, r := range ct {
 		if r == step {
-			e.dead[i] = true
-			crashed = append(crashed, e.ix.IDOf(i))
+			crashed = append(crashed, ix.IDOf(i))
 		}
 	}
-	sortIDs(crashed)
 	return crashed
 }
 
-// crashBlocked reports the first crashed-but-not-Done node when every
-// live node is Done, i.e. when the run can never terminate.
-func (e *Engine) crashBlocked() (graph.ID, int, bool) {
-	if e.dead == nil {
-		return 0, 0, false
+// copies decides the fate of one expanded message copy queued at step
+// round by the node at global index sender, at queue position pos of
+// its expanded outbox, to receiver to: a dead letter if the receiver has
+// crashed by the delivery step, then the plan's drop/delay/dup decision
+// keyed by (round, sender, pos). It charges the outcome to fs and
+// returns how many copies to deliver (0, 1 or 2). A nil f only
+// dead-letters. The in-process collect and ShardRunner.route both
+// decide through it, so a fault plan acts identically in every backend.
+func (f *Faults) copies(crash crashTable, to int32, round, sender, pos int, fs *FaultStats) int {
+	// Messages queued in step round are delivered at step round+1; a
+	// receiver that crashes at or before that step never reads them.
+	if crash.dead(int(to), round+1) {
+		fs.DeadLetters++
+		return 0
 	}
-	deadNotDone := 0
-	first := -1
-	for i := range e.dead {
-		if e.dead[i] && !e.done[i] {
-			deadNotDone++
-			if first < 0 {
-				first = i
-			}
-		}
+	if f == nil {
+		return 1
 	}
-	if deadNotDone == 0 {
-		return 0, 0, false
+	act := f.Plan.Decide(round, sender, pos)
+	if act.Drop {
+		fs.Dropped++
+		return 0
 	}
-	if int(e.doneCount.Load())+deadNotDone == len(e.progs) {
-		return e.ix.IDOf(first), e.crashAt[first], true
+	if act.Delay > fs.Stall {
+		fs.Stall = act.Delay
 	}
-	return 0, 0, false
-}
-
-// sortIDs sorts a crash list into ID order. markCrashes already emits in
-// index order, which equals ID order for snapshots built from sorted
-// node lists; this keeps the reported order canonical regardless.
-func sortIDs(ids []graph.ID) {
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	if act.Dup {
+		fs.Duplicated++
+		return 2
+	}
+	return 1
 }

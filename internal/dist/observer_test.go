@@ -55,7 +55,7 @@ func (r *recordingObserver) SetPhase(name string) {
 }
 
 // scheduleFree strips the schedule-dependent Shards field, leaving only
-// the values promised identical across ExecModes.
+// the values promised identical at every worker count and partitioning.
 func scheduleFree(stats []RoundStats) []RoundStats {
 	out := append([]RoundStats(nil), stats...)
 	for i := range out {
@@ -64,28 +64,30 @@ func scheduleFree(stats []RoundStats) []RoundStats {
 	return out
 }
 
-// TestObserverDeterministicAcrossModes runs the same protocol under all
-// three schedules and requires identical event counts and values — every
-// RoundStats field except Shards is a pure function of (graph, protocol).
+// TestObserverDeterministicAcrossModes runs the same protocol at every
+// swept worker count and requires identical event counts and values —
+// every RoundStats field except Shards is a pure function of (graph,
+// protocol).
 func TestObserverDeterministicAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(60, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 9)
-	run := func(mode ExecMode) *recordingObserver {
+	run := func(procs int) *recordingObserver {
 		rec := newRecordingObserver()
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &echoProtocol{target: 4}
 		})
-		eng.Mode = mode
 		eng.Observer = rec
-		if _, err := eng.Run(10); err != nil {
+		if _, err := runWithProcs(t, procs, eng, 10); err != nil {
 			t.Fatal(err)
 		}
 		return rec
 	}
-	pooled := run(ModePooled)
-	perNode := run(ModePerNode)
-	seq := run(ModeSequential)
+	seq := run(testProcs[0])
+	var pooled []*recordingObserver
+	for _, procs := range testProcs[1:] {
+		pooled = append(pooled, run(procs))
+	}
 
-	for _, rec := range []*recordingObserver{pooled, perNode, seq} {
+	for _, rec := range append([]*recordingObserver{seq}, pooled...) {
 		if rec.runNodes != g.NumNodes() || rec.runEdges != g.NumEdges() {
 			t.Errorf("RunStart saw n=%d m=%d, want n=%d m=%d", rec.runNodes, rec.runEdges, g.NumNodes(), g.NumEdges())
 		}
@@ -97,25 +99,28 @@ func TestObserverDeterministicAcrossModes(t *testing.T) {
 			t.Errorf("got %d RoundEnds and %d RoundStarts for %d rounds", len(rec.rounds), len(rec.roundStarts), rec.runEnds[0])
 		}
 	}
-	if !reflect.DeepEqual(scheduleFree(pooled.rounds), scheduleFree(seq.rounds)) {
-		t.Errorf("pooled and sequential traces differ:\n%+v\nvs\n%+v", pooled.rounds, seq.rounds)
-	}
-	if !reflect.DeepEqual(scheduleFree(perNode.rounds), scheduleFree(seq.rounds)) {
-		t.Errorf("per-node and sequential traces differ:\n%+v\nvs\n%+v", perNode.rounds, seq.rounds)
-	}
-	// Schedule shape: sequential runs exactly one shard per round;
-	// per-node reports zero shards and no shard events.
-	for _, st := range seq.rounds {
-		if st.Shards != 1 {
-			t.Errorf("sequential round %d: shards=%d, want 1", st.Round, st.Shards)
+	for i, rec := range pooled {
+		procs := testProcs[i+1]
+		if !reflect.DeepEqual(scheduleFree(rec.rounds), scheduleFree(seq.rounds)) {
+			t.Errorf("%d-worker and one-worker traces differ:\n%+v\nvs\n%+v", procs, rec.rounds, seq.rounds)
+		}
+		// Schedule shape: the 60-node range splits into procs shards,
+		// each bracketed by one start and one end per step.
+		for _, st := range rec.rounds {
+			if st.Shards != procs {
+				t.Errorf("%d workers, round %d: shards=%d, want %d", procs, st.Round, st.Shards, procs)
+			}
+		}
+		for shard, n := range rec.shardStarts {
+			if rec.shardEnds[shard] != n {
+				t.Errorf("%d workers, shard %d: %d starts but %d ends", procs, shard, n, rec.shardEnds[shard])
+			}
 		}
 	}
-	if len(perNode.shardStarts) != 0 || len(perNode.shardEnds) != 0 {
-		t.Errorf("per-node mode fired shard events: %v", perNode.shardStarts)
-	}
-	for shard, n := range pooled.shardStarts {
-		if pooled.shardEnds[shard] != n {
-			t.Errorf("shard %d: %d starts but %d ends", shard, n, pooled.shardEnds[shard])
+	// One worker runs exactly one shard per round.
+	for _, st := range seq.rounds {
+		if st.Shards != 1 {
+			t.Errorf("one-worker round %d: shards=%d, want 1", st.Round, st.Shards)
 		}
 	}
 	// The per-round Done counts are monotone and end at n.
@@ -257,7 +262,6 @@ func TestSendTargetClasses(t *testing.T) {
 		}
 		return &sendEverywhereProtocol{far: far, got: make(map[graph.ID]int)}
 	})
-	eng.Mode = ModeSequential
 	res, err := eng.Run(10)
 	if err != nil {
 		t.Fatal(err)
@@ -287,14 +291,13 @@ func TestSendTargetClasses(t *testing.T) {
 
 // TestSendUnknownTarget pins the Send error contract: the node-program
 // panic is recovered by the engine and surfaced as an error from Run —
-// under every ExecMode, without deadlocking the worker pool (see also
-// adversarial_test.go for the full mode matrix).
+// at every worker count, without deadlocking the worker pool (see also
+// adversarial_test.go for the GOMAXPROCS sweep).
 func TestSendUnknownTarget(t *testing.T) {
 	g := gen.Path(3)
 	eng := NewEngine(g, func(v graph.ID) Protocol {
 		return &badSenderProtocol{}
 	})
-	eng.Mode = ModeSequential
 	_, err := eng.Run(10)
 	if err == nil {
 		t.Fatal("send to a non-node did not surface an error from Run")
@@ -339,22 +342,21 @@ func (p *oscillatingProtocol) Output() any { return p.rounds }
 // run stops only when all nodes are simultaneously Done after a round).
 func TestDoneCounterOscillation(t *testing.T) {
 	g := gen.Cycle(4)
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
+	for _, procs := range testProcs {
 		// settle=5 (odd): nodes report done after even rounds 2 and 4
 		// but un-done after 1, 3; all settle for good at round 5.
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &oscillatingProtocol{settle: 5}
 		})
-		eng.Mode = mode
-		res, err := eng.Run(20)
+		res, err := runWithProcs(t, procs, eng, 20)
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("procs %d: %v", procs, err)
 		}
 		// All nodes report Done after round 2 already (rounds=2 is even),
 		// so the run stops there — the point is the counter must agree.
 		for v, out := range res.Outputs {
 			if out.(int) != res.Rounds {
-				t.Errorf("mode %v: node %d ran %d rounds, engine says %d", mode, v, out, res.Rounds)
+				t.Errorf("procs %d: node %d ran %d rounds, engine says %d", procs, v, out, res.Rounds)
 			}
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // This file defines the partitioned runtime's transport abstraction: the
 // engine's nodes are split into contiguous snapshot-index ranges, each
 // range is hosted by a ShardRunner (in-process or in a child OS process
-// behind internal/wire), and a coordinator (coordinator.go) drives the
-// same round/observer/faults contracts as Engine.Run over ShardLinks.
+// behind internal/wire), and Engine.Run drives the round loop over
+// ShardLinks through the partition backend (coordinator.go).
 //
 // Determinism is preserved by construction. The LOCAL engine delivers
 // each inbox sorted by (sender index, queue position), achieved by
@@ -60,11 +60,10 @@ type ShardStepResult struct {
 	// Done is the shard's count of nodes whose protocol reports Done.
 	Done int
 	// DeadNotDone counts crashed-but-unfinished local nodes; BlockedIdx
-	// is the smallest such global index (-1 when none) and BlockedRound
-	// its crash round — the coordinator's crash-blocked diagnosis.
-	DeadNotDone  int
-	BlockedIdx   int32
-	BlockedRound int
+	// is the smallest such global index (-1 when none) — the round
+	// loop's crash-blocked diagnosis.
+	DeadNotDone int
+	BlockedIdx  int32
 	// Sender-side delivery accounting for this step.
 	Messages    int
 	Volume      int
@@ -75,7 +74,7 @@ type ShardStepResult struct {
 	// Msgs are the copies addressed outside [Lo, Hi), in sender order.
 	Msgs []PartMsg
 	// Err carries a node-program panic ("dist: node program panicked:
-	// ..."), formatted exactly like the LOCAL engine's failure.
+	// ..."), formatted by the same nodeRange.exec as in-process runs.
 	Err string
 }
 

@@ -193,33 +193,133 @@ func TestPartitionedFloodFaultyMatchesLocal(t *testing.T) {
 	}
 }
 
+// errPathProtocol broadcasts its index every step until it has run
+// limit rounds; a node marked panics panics in round 1, naming itself.
+type errPathProtocol struct {
+	idx    int
+	panics bool
+	limit  int
+	rounds int
+}
+
+func (p *errPathProtocol) Init(ctx *Context) { ctx.Broadcast(p.idx) }
+func (p *errPathProtocol) Round(ctx *Context, inbox []Message) {
+	if p.panics {
+		panic(fmt.Sprintf("node index %d", p.idx))
+	}
+	p.rounds++
+	if p.rounds < p.limit {
+		ctx.Broadcast(p.idx)
+	}
+}
+func (p *errPathProtocol) Done() bool  { return p.rounds >= p.limit }
+func (p *errPathProtocol) Output() any { return p.rounds }
+
+// errPathProgram hosts errPathProtocol on partitions. Its params are
+// the indices of the panicking nodes, one byte each.
+type errPathProgram struct{ panics map[int]bool }
+
+func (p *errPathProgram) NewNode(i int) Protocol {
+	return &errPathProtocol{idx: i, panics: p.panics[i], limit: 3}
+}
+func (p *errPathProgram) EncodePayload(pl any) ([]byte, error) {
+	return appendI32(nil, int32(pl.(int))), nil
+}
+func (p *errPathProgram) DecodePayload(data []byte) (any, error) {
+	v, _, err := readI32(data)
+	return int(v), err
+}
+func (p *errPathProgram) EncodeOutput(i int, pr Protocol) ([]byte, error) {
+	return appendI32(nil, int32(pr.Output().(int))), nil
+}
+func (p *errPathProgram) DecodeOutput(i int, data []byte) (any, error) {
+	v, _, err := readI32(data)
+	return int(v), err
+}
+
+func init() {
+	RegisterProgram("errpath-test", func(ix *graph.Indexed, params []byte) (Program, error) {
+		p := &errPathProgram{panics: make(map[int]bool)}
+		for _, b := range params {
+			p.panics[int(b)] = true
+		}
+		return p, nil
+	})
+}
+
+// TestPartitionedCrashBlockedMatchesLocal pins every error path of the
+// round loop: crash-blocked, max rounds exceeded, a node-program
+// panic on two shards at once, and a second Run. Each must fail with
+// the identical error string in-process at every swept worker count
+// and on a 3-way partition. The panic case also pins which failure
+// wins: the lowest panicking node, whatever the worker count or
+// partitioning.
 func TestPartitionedCrashBlockedMatchesLocal(t *testing.T) {
-	g := gen.Path(20)
-	ix := graph.NewIndexed(g)
-	crashed := ix.IDOf(7)
-	spec := fmt.Sprintf("crash=%d@1", crashed)
-	f, err := ParseFaults(spec, 1)
-	if err != nil {
-		t.Fatal(err)
+	ix := graph.NewIndexed(gen.Cycle(100))
+	cases := []struct {
+		name      string
+		panics    []byte
+		faults    string
+		maxRounds int
+		twice     bool
+		want      string
+	}{
+		{name: "crash-blocked", faults: fmt.Sprintf("crash=%d@1", ix.IDOf(7)), maxRounds: 10,
+			want: fmt.Sprintf("node %d crashed at round 1 and cannot finish", ix.IDOf(7))},
+		{name: "max-rounds", maxRounds: 1, want: "protocol did not terminate within 1 rounds"},
+		{name: "node-panic", panics: []byte{10, 70}, maxRounds: 10, want: "dist: node program panicked: node index 10"},
+		{name: "run-twice", maxRounds: 10, twice: true, want: "dist: Engine.Run called twice"},
 	}
-	_, _, lErr := CollectBallsByIndex(ix, 3, nil, nil, f)
-	if lErr == nil {
-		t.Fatal("local flood survived a crashed node")
-	}
-	pf, err := ParseFaults(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := NewLocalPartition(ix, 3)
-	_, _, pErr := CollectBallsByIndexPart(part, ix, 3, nil, nil, pf)
-	if pErr == nil {
-		t.Fatal("partitioned flood survived a crashed node")
-	}
-	if lErr.Error() != pErr.Error() {
-		t.Fatalf("crash-blocked errors diverge:\nlocal: %v\npart:  %v", lErr, pErr)
-	}
-	if !strings.Contains(pErr.Error(), "crashed at round 1 and cannot finish") {
-		t.Fatalf("unexpected crash-blocked error: %v", pErr)
+	for _, tc := range cases {
+		run := func(e *Engine) string {
+			t.Helper()
+			if tc.faults != "" {
+				f, err := ParseFaults(tc.faults, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Faults = f
+			}
+			_, err := e.Run(tc.maxRounds)
+			if tc.twice {
+				if err != nil {
+					t.Fatalf("%s: first run: %v", tc.name, err)
+				}
+				_, err = e.Run(tc.maxRounds)
+			}
+			if err == nil {
+				t.Fatalf("%s: run succeeded", tc.name)
+			}
+			return err.Error()
+		}
+		var ref string
+		for _, procs := range testProcs {
+			prog, err := NewProgram("errpath-test", ix, tc.panics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
+				i, _ := ix.IndexOf(v)
+				return prog.NewNode(i)
+			})
+			var got string
+			withProcs(t, procs, func() { got = run(eng) })
+			if ref == "" {
+				ref = got
+			} else if got != ref {
+				t.Fatalf("%s: errors diverge across worker counts:\n1 worker:  %s\n%d workers: %s", tc.name, ref, procs, got)
+			}
+		}
+		c, err := NewCoordinator(ix, NewLocalPartition(ix, 3), "errpath-test", tc.panics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run(c); got != ref {
+			t.Fatalf("%s: errors diverge:\nlocal: %s\npart:  %s", tc.name, ref, got)
+		}
+		if !strings.Contains(ref, tc.want) {
+			t.Fatalf("%s: error %q does not contain %q", tc.name, ref, tc.want)
+		}
 	}
 }
 

@@ -406,50 +406,38 @@ func init() {
 // semantics, with the shards doing the work. notes must be nil-or-int
 // per entry (see floodNotes).
 func CollectBallsByIndexPart(p *Partition, ix *graph.Indexed, radius int, notes []any, o RoundObserver, f *Faults) ([]*Knowledge, *Result, error) {
-	params, err := encodeFloodParams(ix.NumNodes(), radius, 0, notes)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := NewCoordinator(ix, p, "flood", params)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.Observer = o
-	c.Faults = f
-	c.SkipOutputs = true
-	res, err := c.Run(radius + 1)
-	if err != nil {
-		return nil, nil, fmt.Errorf("flooding: %w", err)
-	}
-	return knowledgeByIndex(c), res, nil
+	return runFloodPart(p, ix, "flood", radius, 0, radius+1, notes, o, f, "flooding")
 }
 
 // CollectBallsRetransPart is the retransmitting flood executed on a
 // partition, by snapshot index.
 func CollectBallsRetransPart(p *Partition, ix *graph.Indexed, radius, budget int, notes []any, o RoundObserver, f *Faults) ([]*Knowledge, *Result, error) {
+	return runFloodPart(p, ix, "retrans", radius, budget, budget, notes, o, f, "retransmitting flood")
+}
+
+// runFloodPart runs the named flood program on a partition for at most
+// maxRounds rounds and returns every node's knowledge by index; run
+// errors are wrapped with what, as the in-process entry points do.
+func runFloodPart(p *Partition, ix *graph.Indexed, program string, radius, budget, maxRounds int, notes []any, o RoundObserver, f *Faults, what string) ([]*Knowledge, *Result, error) {
 	params, err := encodeFloodParams(ix.NumNodes(), radius, budget, notes)
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := NewCoordinator(ix, p, "retrans", params)
+	e, err := NewCoordinator(ix, p, program, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.Observer = o
-	c.Faults = f
-	c.SkipOutputs = true
-	res, err := c.Run(budget)
+	e.Observer = o
+	e.Faults = f
+	e.SkipOutputs = true
+	res, err := e.Run(maxRounds)
 	if err != nil {
-		return nil, nil, fmt.Errorf("retransmitting flood: %w", err)
+		return nil, nil, fmt.Errorf("%s: %w", what, err)
 	}
-	return knowledgeByIndex(c), res, nil
-}
-
-func knowledgeByIndex(c *Coordinator) []*Knowledge {
-	outs := c.OutputsByIndex()
+	outs := e.OutputsByIndex()
 	ks := make([]*Knowledge, len(outs))
 	for i, o := range outs {
 		ks[i] = o.(*Knowledge)
 	}
-	return ks
+	return ks, res, nil
 }

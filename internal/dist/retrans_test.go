@@ -110,7 +110,7 @@ func TestRetransAbsorbsDupAndDelay(t *testing.T) {
 }
 
 // TestRetransDeterministicAcrossModes: the faulty retransmitting run is
-// as schedule-independent as everything else.
+// as worker-count-independent as everything else.
 func TestRetransDeterministicAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(100, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 31)
 	f := &Faults{Plan: fault.Plan{Seed: 13, Drop: 0.25}}
@@ -126,15 +126,15 @@ func TestRetransDeterministicAcrossModes(t *testing.T) {
 	}
 	var refK map[graph.ID]*Knowledge
 	var refFP fp
-	withMode(t, ModeSequential, func() { refK, refFP = run() })
-	for _, m := range []ExecMode{ModePooled, ModePerNode} {
+	withProcs(t, testProcs[0], func() { refK, refFP = run() })
+	for _, procs := range testProcs[1:] {
 		var gotK map[graph.ID]*Knowledge
 		var gotFP fp
-		withMode(t, m, func() { gotK, gotFP = run() })
+		withProcs(t, procs, func() { gotK, gotFP = run() })
 		if gotFP != refFP {
-			t.Fatalf("mode %d: %+v, want %+v", m, gotFP, refFP)
+			t.Fatalf("procs %d: %+v, want %+v", procs, gotFP, refFP)
 		}
-		sameKnowledge(t, "modes", refK, gotK)
+		sameKnowledge(t, "procs", refK, gotK)
 	}
 }
 

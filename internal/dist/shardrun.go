@@ -3,36 +3,24 @@ package dist
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
 // ShardRunner hosts one contiguous node range of a partitioned run. It
 // executes the range's protocols step by step under the coordinator's
-// direction, mirroring the LOCAL engine's semantics exactly: nodes run
-// in index order (the sequential schedule — all schedules are
-// observationally identical), inboxes are truncated as they are
-// consumed, Quiescent protocols skip empty-inbox rounds, crashed nodes
-// stop executing, and every outgoing copy is routed through the fault
-// schedule sender-side with global coordinates.
+// direction with the in-process engine's per-node code (nodeRange.exec:
+// nodes in index order, inboxes truncated as they are consumed,
+// Quiescent protocols skipping empty-inbox rounds, crashed nodes
+// stopped), and routes every outgoing copy through the fault decision
+// (Faults.copies) sender-side with global coordinates.
 type ShardRunner struct {
-	ix     *graph.Indexed
-	lo, hi int32
-	prog   Program
+	ix   *graph.Indexed
+	hi   int32
+	prog Program
 
-	progs     []Protocol // by local offset i-lo
-	ctxs      []Context
-	curRound  int32
-	quiescent bool
+	nodes  nodeRange
+	faults *Faults
 
-	done      []bool // by local offset
-	doneCount int
-
-	faults  *Faults
-	crashAt []int  // by GLOBAL index; nil without a crash schedule
-	dead    []bool // by local offset
-
-	inbox  [][]Message // by local offset; the current round's inboxes
 	staged [][]Message // by local offset; local-destination copies of the step
 	out    []PartMsg
 
@@ -52,55 +40,19 @@ func NewShardRunner(ix *graph.Indexed, cfg ShardConfig) (*ShardRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ShardRunner{
-		ix:   ix,
-		lo:   cfg.Lo,
-		hi:   cfg.Hi,
-		prog: prog,
-	}
+	r := &ShardRunner{ix: ix, hi: cfg.Hi, prog: prog}
 	if cfg.FaultSpec != "" {
-		f, err := ParseFaults(cfg.FaultSpec, cfg.FaultSeed)
-		if err != nil {
+		if r.faults, err = ParseFaults(cfg.FaultSpec, cfg.FaultSeed); err != nil {
 			return nil, err
 		}
-		r.faults = f
 	}
-	local := int(cfg.Hi - cfg.Lo)
-	r.progs = make([]Protocol, local)
-	r.ctxs = make([]Context, local)
-	r.done = make([]bool, local)
-	r.inbox = make([][]Message, local)
-	r.staged = make([][]Message, local)
-	r.quiescent = local > 0
-	for j := range r.progs {
-		i := int(cfg.Lo) + j
-		r.progs[j] = prog.NewNode(i)
-		if _, ok := r.progs[j].(Quiescent); !ok {
-			r.quiescent = false
-		}
-		r.ctxs[j] = Context{
-			id:     ix.IDOf(i),
-			idx:    int32(i),
-			nbrIDs: ix.NeighborIDs(i),
-			nbrIdx: ix.NeighborIndices(i),
-			ix:     ix,
-			round:  &r.curRound,
-		}
+	crash, err := newCrashTable(ix, r.faults)
+	if err != nil {
+		return nil, err
 	}
-	if r.faults != nil && len(r.faults.Crash) > 0 {
-		r.crashAt = make([]int, n)
-		for i := range r.crashAt {
-			r.crashAt[i] = -1
-		}
-		r.dead = make([]bool, local)
-		for v, round := range r.faults.Crash {
-			i, ok := ix.IndexOf(v)
-			if !ok {
-				return nil, fmt.Errorf("dist: fault plan crashes node %d, which is not a node of the network", v)
-			}
-			r.crashAt[i] = round
-		}
-	}
+	r.nodes.init(ix, int(cfg.Lo), int(cfg.Hi), prog.NewNode)
+	r.nodes.crash = crash
+	r.staged = make([][]Message, cfg.Hi-cfg.Lo)
 	return r, nil
 }
 
@@ -109,89 +61,34 @@ func NewShardRunner(ix *graph.Indexed, cfg ShardConfig) (*ShardRunner, error) {
 // coming Deliver, remote copies are returned in sender order. All
 // delivery accounting — including drops, duplicates, dead letters, and
 // stall — is charged here, sender-side, so the coordinator's sums equal
-// the LOCAL engine's counters field for field.
+// the in-process engine's counters field for field.
 func (r *ShardRunner) Step(round int) *ShardStepResult {
-	r.curRound = int32(round)
+	r.nodes.curRound = int32(round)
 	r.stepped = true
-	if r.crashAt != nil {
-		for j := range r.dead {
-			if r.crashAt[int(r.lo)+j] == round {
-				r.dead[j] = true
-			}
-		}
-	}
 	res := &ShardStepResult{Round: round, BlockedIdx: -1}
-	if err := r.runNodes(round); err != nil {
+	if err := r.nodes.exec(round, 0, len(r.nodes.progs)); err != nil {
 		res.Err = err.Error()
 		return res
 	}
 	r.route(round, res)
-	res.Done = r.doneCount
-	if r.dead != nil {
-		for j := range r.dead {
-			if r.dead[j] && !r.done[j] {
-				res.DeadNotDone++
-				if res.BlockedIdx < 0 {
-					res.BlockedIdx = r.lo + int32(j)
-					res.BlockedRound = r.crashAt[int(r.lo)+j]
-				}
-			}
-		}
-	}
+	res.Done = int(r.nodes.doneCount.Load())
+	res.DeadNotDone, res.BlockedIdx = r.nodes.blocked(round)
 	return res
 }
 
-// runNodes runs the step's protocol calls in local index order with the
-// engine's panic recovery: a panicking node program aborts the
-// remaining range and surfaces as the engine-formatted error.
-func (r *ShardRunner) runNodes(round int) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("dist: node program panicked: %v", rec)
-		}
-	}()
-	for j := range r.progs {
-		if r.dead != nil && r.dead[j] {
-			continue
-		}
-		if round == 0 {
-			r.progs[j].Init(&r.ctxs[j])
-		} else {
-			if r.quiescent && len(r.inbox[j]) == 0 {
-				continue
-			}
-			inbox := r.inbox[j]
-			r.inbox[j] = r.inbox[j][:0]
-			r.progs[j].Round(&r.ctxs[j], inbox)
-		}
-		if d := r.progs[j].Done(); d != r.done[j] {
-			r.done[j] = d
-			if d {
-				r.doneCount++
-			} else {
-				r.doneCount--
-			}
-		}
-	}
-	return nil
-}
-
 // route walks the step's outboxes in sender order, expanding broadcasts
-// over neighbor rows, and delivers each copy through the fault schedule
-// with global (round, sender, queue position) coordinates — the LOCAL
-// engine's exact delivery pass, with remote copies encoded instead of
-// appended.
+// over neighbor rows, and delivers each copy through the fault decision
+// with global (round, sender, queue position) coordinates — the
+// in-process engine's delivery pass, with remote copies encoded instead
+// of appended.
 func (r *ShardRunner) route(round int, res *ShardStepResult) {
 	r.out = r.out[:0]
-	var plan fault.Plan
-	perturb := false
-	if r.faults.active() {
-		plan = r.faults.Plan
-		perturb = plan.Perturbs()
-	}
-	for j := range r.ctxs {
-		c := &r.ctxs[j]
-		sender := int(r.lo) + j
+	lo := int32(r.nodes.lo)
+	var fs FaultStats
+	var one [1]int32
+	for j := range r.nodes.ctxs {
+		c := &r.nodes.ctxs[j]
+		sender := r.nodes.lo + j
 		pos := 0
 		var encErr error
 		for k, msg := range c.outbox {
@@ -200,31 +97,10 @@ func (r *ShardRunner) route(round int, res *ShardStepResult) {
 				sz = s.PayloadSize()
 			}
 			var enc []byte // lazily encoded once per outbox entry
-			deliver := func(to int32) {
-				if r.crashAt != nil && r.crashAt[to] >= 0 && r.crashAt[to] <= round+1 {
-					res.DeadLetters++
-					return
-				}
-				var act fault.Action
-				if perturb {
-					act = plan.Decide(round, sender, pos)
-				}
-				if act.Drop {
-					res.Dropped++
-					return
-				}
-				if act.Delay > res.Stall {
-					res.Stall = act.Delay
-				}
-				copies := 1
-				if act.Dup {
-					res.Duplicated++
-					copies = 2
-				}
-				for range copies {
-					if to >= r.lo && to < r.hi {
-						off := to - r.lo
-						r.staged[off] = append(r.staged[off], msg)
+			for _, to := range c.receivers(k, &one) {
+				for range r.faults.copies(r.nodes.crash, to, round, sender, pos, &fs) {
+					if to >= lo && to < r.hi {
+						r.staged[to-lo] = append(r.staged[to-lo], msg)
 					} else {
 						if enc == nil && encErr == nil {
 							enc, encErr = r.prog.EncodePayload(msg.Payload)
@@ -234,15 +110,7 @@ func (r *ShardRunner) route(round int, res *ShardStepResult) {
 					res.Messages++
 					res.Volume += sz
 				}
-			}
-			if to := c.targets[k]; to >= 0 {
-				deliver(to)
 				pos++
-			} else {
-				for _, u := range c.nbrIdx {
-					deliver(u)
-					pos++
-				}
 			}
 		}
 		c.outbox = c.outbox[:0]
@@ -251,6 +119,7 @@ func (r *ShardRunner) route(round int, res *ShardStepResult) {
 			res.Err = fmt.Sprintf("dist: shard payload encoding failed: %v", encErr)
 		}
 	}
+	res.Dropped, res.Duplicated, res.DeadLetters, res.Stall = fs.Dropped, fs.Duplicated, fs.DeadLetters, fs.Stall
 	res.Msgs = r.out
 }
 
@@ -259,13 +128,14 @@ func (r *ShardRunner) route(round int, res *ShardStepResult) {
 // global sender order and contains no local senders, so it splits at
 // the first sender ≥ hi: lower-shard copies, then the staged local
 // block, then higher-shard copies — exactly the (sender, queue
-// position) order the LOCAL engine delivers. Returns the post-delivery
+// position) order the in-process engine delivers. Returns the post-delivery
 // inbox high-water mark.
 func (r *ShardRunner) Deliver(incoming []PartMsg) (int, error) {
 	if !r.stepped {
 		return 0, fmt.Errorf("dist: shard Deliver without a preceding Step")
 	}
 	r.stepped = false
+	lo, inbox := int32(r.nodes.lo), r.nodes.inbox
 	split := len(incoming)
 	for i, m := range incoming {
 		if m.From >= r.hi {
@@ -275,15 +145,15 @@ func (r *ShardRunner) Deliver(incoming []PartMsg) (int, error) {
 	}
 	appendRemote := func(msgs []PartMsg) error {
 		for _, m := range msgs {
-			if m.To < r.lo || m.To >= r.hi {
-				return fmt.Errorf("dist: misrouted message for index %d on shard [%d, %d)", m.To, r.lo, r.hi)
+			if m.To < lo || m.To >= r.hi {
+				return fmt.Errorf("dist: misrouted message for index %d on shard [%d, %d)", m.To, lo, r.hi)
 			}
 			pl, err := r.prog.DecodePayload(m.Data)
 			if err != nil {
 				return fmt.Errorf("dist: shard payload decoding failed: %w", err)
 			}
-			off := m.To - r.lo
-			r.inbox[off] = append(r.inbox[off], Message{From: r.ix.IDOf(int(m.From)), Payload: pl})
+			off := m.To - lo
+			inbox[off] = append(inbox[off], Message{From: r.ix.IDOf(int(m.From)), Payload: pl})
 		}
 		return nil
 	}
@@ -292,7 +162,7 @@ func (r *ShardRunner) Deliver(incoming []PartMsg) (int, error) {
 	}
 	for j := range r.staged {
 		if len(r.staged[j]) > 0 {
-			r.inbox[j] = append(r.inbox[j], r.staged[j]...)
+			inbox[j] = append(inbox[j], r.staged[j]...)
 			r.staged[j] = r.staged[j][:0]
 		}
 	}
@@ -300,9 +170,9 @@ func (r *ShardRunner) Deliver(incoming []PartMsg) (int, error) {
 		return 0, err
 	}
 	maxInbox := 0
-	for j := range r.inbox {
-		if len(r.inbox[j]) > maxInbox {
-			maxInbox = len(r.inbox[j])
+	for j := range inbox {
+		if len(inbox[j]) > maxInbox {
+			maxInbox = len(inbox[j])
 		}
 	}
 	return maxInbox, nil
@@ -310,11 +180,11 @@ func (r *ShardRunner) Deliver(incoming []PartMsg) (int, error) {
 
 // Outputs encodes every local node's final output, by local offset.
 func (r *ShardRunner) Outputs() ([][]byte, error) {
-	out := make([][]byte, len(r.progs))
-	for j := range r.progs {
-		data, err := r.prog.EncodeOutput(int(r.lo)+j, r.progs[j])
+	out := make([][]byte, len(r.nodes.progs))
+	for j, p := range r.nodes.progs {
+		data, err := r.prog.EncodeOutput(r.nodes.lo+j, p)
 		if err != nil {
-			return nil, fmt.Errorf("dist: shard output encoding failed for index %d: %w", int(r.lo)+j, err)
+			return nil, fmt.Errorf("dist: shard output encoding failed for index %d: %w", r.nodes.lo+j, err)
 		}
 		out[j] = data
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -11,17 +12,20 @@ import (
 	"repro/internal/graph"
 )
 
-// withMode runs fn with dist.DefaultMode temporarily overridden.
-func withMode(t *testing.T, m dist.ExecMode, fn func()) {
+// testProcs is the GOMAXPROCS sweep of the cross-worker trace tests;
+// the first entry (one worker) is the reference.
+var testProcs = []int{1, 2, 4}
+
+// withProcs runs fn with GOMAXPROCS temporarily set to procs.
+func withProcs(t *testing.T, procs int, fn func()) {
 	t.Helper()
-	old := dist.DefaultMode
-	dist.DefaultMode = m
-	defer func() { dist.DefaultMode = old }()
+	old := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(old)
 	fn()
 }
 
-// canonicalFaultTrace runs a faulty flood under the current DefaultMode
-// and returns the canonical JSONL trace bytes.
+// canonicalFaultTrace runs a faulty flood at the current GOMAXPROCS and
+// returns the canonical JSONL trace bytes.
 func canonicalFaultTrace(t *testing.T, g *graph.Graph, radius int, f *dist.Faults) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -39,8 +43,8 @@ func canonicalFaultTrace(t *testing.T, g *graph.Graph, radius int, f *dist.Fault
 
 // TestFaultTraceByteIdenticalAcrossModes is the acceptance gate for
 // deterministic fault injection: the same (graph, protocol, seed, plan)
-// must yield byte-identical canonical JSONL traces under ModePooled,
-// ModePerNode, and ModeSequential.
+// must yield byte-identical canonical JSONL traces at every worker
+// count.
 func TestFaultTraceByteIdenticalAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(180, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 37)
 	plans := map[string]*dist.Faults{
@@ -50,15 +54,15 @@ func TestFaultTraceByteIdenticalAcrossModes(t *testing.T) {
 	}
 	for name, f := range plans {
 		var ref []byte
-		withMode(t, dist.ModeSequential, func() { ref = canonicalFaultTrace(t, g, 3, f) })
+		withProcs(t, testProcs[0], func() { ref = canonicalFaultTrace(t, g, 3, f) })
 		if len(ref) == 0 {
 			t.Fatalf("%s: empty trace", name)
 		}
-		for _, m := range []dist.ExecMode{dist.ModePooled, dist.ModePerNode} {
+		for _, procs := range testProcs[1:] {
 			var got []byte
-			withMode(t, m, func() { got = canonicalFaultTrace(t, g, 3, f) })
+			withProcs(t, procs, func() { got = canonicalFaultTrace(t, g, 3, f) })
 			if !bytes.Equal(ref, got) {
-				t.Errorf("%s: trace under mode %d differs from sequential:\n%s\nvs\n%s", name, m, got, ref)
+				t.Errorf("%s: trace with %d workers differs from one worker:\n%s\nvs\n%s", name, procs, got, ref)
 			}
 		}
 	}

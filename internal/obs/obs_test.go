@@ -191,9 +191,10 @@ func TestCollectorShardBusyTimes(t *testing.T) {
 	eng := dist.NewEngine(pathGraph(64), func(v graph.ID) dist.Protocol {
 		return &pingProtocol{rounds: 2}
 	})
-	eng.Mode = dist.ModeSequential
 	eng.Observer = c
-	if _, err := eng.Run(100); err != nil {
+	var err error
+	withProcs(t, 1, func() { _, err = eng.Run(100) })
+	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
 	for i, ev := range c.Events() {
