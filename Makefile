@@ -89,15 +89,16 @@ bench:
 # benchmarks plus the 100k-node stage benchmarks and the end-to-end
 # pipelines (20k smoke, 1M headline) through `go test -json`,
 # post-processed by cmd/benchjson into the repo's perf-trajectory
-# format. BENCH_7.json in the repo root is a recorded run of exactly
-# this target (it adds the BenchmarkPipelineN20kMetrics A/B row — the
-# 'BenchmarkPipelineN20k' pattern matches it by substring — so the
-# nil-observer vs -metrics delta is recorded alongside the trend).
+# format. BENCH_8.json in the repo root is the latest recorded run of
+# exactly this target (since BENCH_7 it includes the
+# BenchmarkPipelineN20kMetrics A/B row — the 'BenchmarkPipelineN20k'
+# pattern matches it by substring — so the nil-observer vs -metrics
+# delta is recorded alongside the trend).
 # The substrate and stage/pipeline sweeps run as two separate `go test`
 # processes (benchjson accepts the concatenated streams): the 10^6-node
 # pipeline leaves a multi-GB heap behind, and sharing a process would
 # taint the substrate numbers recorded under BENCH_5's conditions.
-BENCHJSON_OUT ?= BENCH_7.json
+BENCHJSON_OUT ?= BENCH_8.json
 bench-json:
 	( $(GO) test -run '^$$' -bench 'BenchmarkEngineRound|BenchmarkFloodRadius|BenchmarkFloodN100k|BenchmarkFloodBallCollection|BenchmarkDistributedPruneN256|BenchmarkPeelingN4096' \
 		-benchmem -json . ; \
@@ -108,7 +109,7 @@ bench-json:
 # recent recorded runs. >10% regressions on any metric print a warning
 # to stderr but never fail the target — this is a trend report, not a
 # gate; missing record files skip the comparison cleanly.
-BENCHJSON_BASE ?= BENCH_6.json
+BENCHJSON_BASE ?= BENCH_7.json
 bench-compare:
 	$(GO) run ./cmd/benchjson compare $(BENCHJSON_BASE) $(BENCHJSON_OUT)
 

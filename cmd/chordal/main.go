@@ -45,6 +45,11 @@ import (
 	"repro/internal/wire"
 )
 
+// beforeShutdown, when set, is called with the -pprof server's bound
+// address after the run and before the server shuts down; tests use it
+// to read /debug/vars from a finished run.
+var beforeShutdown func(bound string)
+
 func main() {
 	// When re-executed as a shard host (-partitions spawns copies of this
 	// binary), serve the shard and exit before touching flags.
@@ -65,7 +70,7 @@ func main() {
 		faultSeed  = flag.Uint64("fault-seed", 7, "seed of the deterministic fault schedule used by -faults")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address for the duration of the run")
+		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address for the duration of the run, plus the round counters under /debug/vars with -trace or -metrics")
 		decideWork = flag.Int("decide-workers", 0, "worker count of the pruning decide kernel (0 = GOMAXPROCS, 1 = sequential; outputs are bit-identical for every value)")
 		workers    = flag.Int("workers", 0, "worker count of the pure-compute pipeline stages: peeling path measurement, per-path coloring, MIS components, correction setup (0 = GOMAXPROCS, 1 = sequential; outputs are bit-identical for every value)")
 	)
@@ -101,13 +106,22 @@ func run(alg string, eps float64, in, out, genKind string, n, maxClique int, see
 			}
 		}()
 	}
+	// reg backs the -pprof server's /debug/vars; the run's collector
+	// (-trace or -metrics) keeps its round counters current.
+	var reg *obs.Registry
 	if pprofAddr != "" {
-		shutdown, bound, err := obs.Serve(pprofAddr, nil)
+		reg = obs.NewRegistry()
+		shutdown, bound, err := obs.Serve(pprofAddr, reg)
 		if err != nil {
 			return err
 		}
-		defer shutdown()
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", bound)
+		defer func() {
+			if beforeShutdown != nil {
+				beforeShutdown(bound)
+			}
+			shutdown()
+		}()
+		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/ (vars: /debug/vars)\n", bound)
 	}
 	// The observer is nil unless -trace or -metrics is given, so plain
 	// runs keep the engine's zero-cost fast path.
@@ -130,6 +144,7 @@ func run(alg string, eps float64, in, out, genKind string, n, maxClique int, see
 	}
 	if collector != nil {
 		observer = collector
+		collector.SetRegistry(reg)
 		defer func() {
 			// Finish closes the last phase span (and flushes its opt-in
 			// mem snapshot) before the trace file's deferred Close runs.

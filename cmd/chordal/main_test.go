@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -177,5 +179,34 @@ func TestRunFaultFlags(t *testing.T) {
 	// A malformed spec is rejected before any work happens.
 	if err := run("color-dist", 0.7, "", "", "random", 30, 4, 1, 0, "", false, "dorp=0.2", 7, "", "", ""); err == nil {
 		t.Error("malformed -faults spec accepted")
+	}
+}
+
+// TestPprofServesVars checks that -pprof mounts /debug/vars on the
+// run's registry: after a small traced run, the vars report the rounds
+// the collector saw.
+func TestPprofServesVars(t *testing.T) {
+	if testing.Short() {
+		t.Skip("distributed runs are slower")
+	}
+	var vars map[string]int64
+	beforeShutdown = func(bound string) {
+		resp, err := http.Get("http://" + bound + "/debug/vars")
+		if err != nil {
+			t.Errorf("GET /debug/vars: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+			t.Errorf("decode /debug/vars: %v", err)
+		}
+	}
+	defer func() { beforeShutdown = nil }()
+	trace := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := run("color-dist", 0.7, "", "", "random", 50, 4, 2, 0, trace, false, "", 7, "", "", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if vars["rounds_total"] <= 0 {
+		t.Fatalf("/debug/vars after a traced run: rounds_total = %d, want > 0 (vars %v)", vars["rounds_total"], vars)
 	}
 }

@@ -39,6 +39,11 @@ import (
 	"repro/internal/wire"
 )
 
+// beforeShutdown, when set, is called with the -pprof server's bound
+// address after the run and before the server shuts down; tests use it
+// to read /debug/vars from a finished run.
+var beforeShutdown func(bound string)
+
 func main() {
 	// When re-executed as a shard host (-partitions spawns copies of this
 	// binary), serve the shard and exit before touching flags.
@@ -52,7 +57,7 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 7, "seed of the deterministic fault schedule used by -faults")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for the duration of the run")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for the duration of the run, plus the round counters under /debug/vars with -trace or -metrics")
 	decideWork := flag.Int("decide-workers", 0, "worker count of the pruning decide kernel (0 = GOMAXPROCS, 1 = sequential; tables are bit-identical for every value)")
 	workers := flag.Int("workers", 0, "worker count of the pure-compute pipeline stages: peeling path measurement, per-path coloring, MIS components, correction setup (0 = GOMAXPROCS, 1 = sequential; tables are bit-identical for every value)")
 	flag.Parse()
@@ -85,13 +90,22 @@ func run(quick bool, only, trace string, metrics bool, partitions int, faults st
 			}
 		}()
 	}
+	// reg backs the -pprof server's /debug/vars; the run's collector
+	// (-trace or -metrics) keeps its round counters current.
+	var reg *obs.Registry
 	if pprofAddr != "" {
-		shutdown, bound, err := obs.Serve(pprofAddr, nil)
+		reg = obs.NewRegistry()
+		shutdown, bound, err := obs.Serve(pprofAddr, reg)
 		if err != nil {
 			return err
 		}
-		defer shutdown()
-		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", bound)
+		defer func() {
+			if beforeShutdown != nil {
+				beforeShutdown(bound)
+			}
+			shutdown()
+		}()
+		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/ (vars: /debug/vars)\n", bound)
 	}
 
 	if faults != "" && trace == "" && !metrics {
@@ -114,6 +128,7 @@ func run(quick bool, only, trace string, metrics bool, partitions int, faults st
 		if metrics {
 			c.SetMemStats(true)
 		}
+		c.SetRegistry(reg)
 		// With -partitions the workload's message-passing stages run on
 		// shard-host child processes (copies of this binary, see
 		// MaybeShardHost); the partitioner re-sessions the fleet for each

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,5 +112,34 @@ func TestMetricsWorkload(t *testing.T) {
 		if !strings.Contains(string(data), kind) {
 			t.Errorf("metrics trace missing %s records", kind)
 		}
+	}
+}
+
+// TestPprofServesVars checks that -pprof mounts /debug/vars on the
+// run's registry: after a small traced run, the vars report the rounds
+// the collector saw.
+func TestPprofServesVars(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace workload is slow")
+	}
+	var vars map[string]int64
+	beforeShutdown = func(bound string) {
+		resp, err := http.Get("http://" + bound + "/debug/vars")
+		if err != nil {
+			t.Errorf("GET /debug/vars: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+			t.Errorf("decode /debug/vars: %v", err)
+		}
+	}
+	defer func() { beforeShutdown = nil }()
+	trace := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := run(true, "", trace, false, 0, "", 7, "", "", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if vars["rounds_total"] <= 0 {
+		t.Fatalf("/debug/vars after a traced run: rounds_total = %d, want > 0 (vars %v)", vars["rounds_total"], vars)
 	}
 }

@@ -704,7 +704,7 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, ids []
 // apply — a private map-built ball graph with a private cache, exactly
 // the old per-center construction.
 func decideOne(sc *decideScratch, cache *cliqueCache, sharedBall *view.Ball, ix *graph.Indexed, know *dist.Knowledge, undecidedIdx []bool, undecided func(graph.ID) bool, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, graph.ID, error) {
-	if cache != nil && know.IndexReady() {
+	if cache != nil {
 		if know.CoversComponent() {
 			// The ball provably covers v's entire component, so the
 			// shared remaining-graph view IS the component's share of
@@ -712,7 +712,7 @@ func decideOne(sc *decideScratch, cache *cliqueCache, sharedBall *view.Ball, ix 
 			// unreachable in the center BFS, hence untrusted).
 			return decideCenter(sc, cache, sharedBall, ix.IDs(), v, vIdx, rule, radius)
 		}
-		sc.Priv.BuildFromSource(know, ix.NumNodes(), radius, undecidedIdx)
+		sc.Priv.BuildFromSource(know, ix, radius, undecidedIdx)
 		return decideCenter(sc, cache, &sc.Priv, ix.IDs(), v, vIdx, rule, radius)
 	}
 	ballGi := know.FilteredBallGraph(radius, undecided)
@@ -746,7 +746,7 @@ type decideResult struct {
 // stage as one "decide" kernel span with per-shard busy/item counts
 // (the span closes even on error, so partial launches stay visible).
 //
-//chordalvet:hotpath budget=33 decide kernel: per-center work must stay on scratch reuse
+//chordalvet:hotpath budget=29 decide kernel: per-center work must stay on scratch reuse
 func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCache, sharedBall *view.Ball, scratches []*decideScratch, centers []int32, undecidedIdx []bool, undecided func(graph.ID) bool, rule decideRule, radius, workers int, o dist.RoundObserver, results []decideResult) ([]decideResult, error) {
 	n := len(centers)
 	shards := shardCount(n, workers)

@@ -17,7 +17,7 @@ type PruneOutcome struct {
 	Parent     map[graph.ID]graph.ID // parent per Definition 1; absent = ⊥
 	Rounds     int
 	Iterations int
-	// Messages and Volume (in NodeInfo records) measure the flooding
+	// Messages and Volume (in flood records) measure the flooding
 	// traffic of the whole pruning phase — LOCAL allows unbounded
 	// messages; this is what the protocol actually used.
 	Messages int
@@ -96,7 +96,9 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 	workers := resolveDecideWorkers(spec.DecideWorkers)
 	// noteOf[i] is the flood annotation of the node at snapshot index i:
 	// its layer once decided, nil while undecided. Maintained in place as
-	// layers are assigned, so no per-iteration note map is ever built.
+	// layers are assigned, so no per-iteration note map is ever built;
+	// each flood run copies it once, so the knowledge it returns keeps
+	// the notes as of that flood.
 	noteOf := make([]any, ix.NumNodes())
 	undecidedIdx := make([]bool, ix.NumNodes())
 	centers := make([]int32, 0, ix.NumNodes())

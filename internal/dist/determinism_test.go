@@ -2,6 +2,7 @@ package dist
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -30,13 +31,30 @@ func runWithProcs(t *testing.T, procs int, eng *Engine, maxRounds int) (*Result,
 }
 
 // floodFingerprint captures everything observable about a flood run: the
-// engine counters and, per node, the exact record sequence (node, dist)
-// the flood produced. Record order is part of the determinism contract —
-// it is what downstream map-free iteration sees.
+// engine counters and, per node, the exact record sequence (snapshot
+// indices) and sphere offsets the flood produced — together they fix
+// every record's node and distance. Record order is part of the
+// determinism contract — it is what downstream map-free iteration sees.
 type floodFingerprint struct {
 	rounds, messages, volume int
-	recs                     map[graph.ID][]NodeInfo
-	dists                    map[graph.ID][]int32
+	recs                     map[graph.ID][]int32
+	ends                     map[graph.ID][]int32
+}
+
+// fingerprint builds the fingerprint of a flood result.
+func fingerprint(res *Result, know map[graph.ID]*Knowledge) floodFingerprint {
+	fp := floodFingerprint{
+		rounds:   res.Rounds,
+		messages: res.Messages,
+		volume:   res.Volume,
+		recs:     make(map[graph.ID][]int32, len(know)),
+		ends:     make(map[graph.ID][]int32, len(know)),
+	}
+	for v, k := range know {
+		fp.recs[v] = k.recs
+		fp.ends[v] = k.ends
+	}
+	return fp
 }
 
 func floodRun(t *testing.T, g *graph.Graph, radius int) floodFingerprint {
@@ -45,18 +63,7 @@ func floodRun(t *testing.T, g *graph.Graph, radius int) floodFingerprint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := floodFingerprint{
-		rounds:   res.Rounds,
-		messages: res.Messages,
-		volume:   res.Volume,
-		recs:     make(map[graph.ID][]NodeInfo, len(know)),
-		dists:    make(map[graph.ID][]int32, len(know)),
-	}
-	for v, k := range know {
-		fp.recs[v] = k.recs
-		fp.dists[v] = k.dist
-	}
-	return fp
+	return fingerprint(res, know)
 }
 
 func compareFloodRuns(t *testing.T, name string, want, got floodFingerprint) {
@@ -74,10 +81,12 @@ func compareFloodRuns(t *testing.T, name string, want, got floodFingerprint) {
 			t.Fatalf("%s node %d: %d records, want %d", name, v, len(gr), len(wr))
 		}
 		for i := range wr {
-			if wr[i].Node != gr[i].Node || want.dists[v][i] != got.dists[v][i] {
-				t.Fatalf("%s node %d record %d: (%d,d=%d), want (%d,d=%d)",
-					name, v, i, gr[i].Node, got.dists[v][i], wr[i].Node, want.dists[v][i])
+			if wr[i] != gr[i] {
+				t.Fatalf("%s node %d record %d: index %d, want %d", name, v, i, gr[i], wr[i])
 			}
+		}
+		if !slices.Equal(want.ends[v], got.ends[v]) {
+			t.Fatalf("%s node %d: sphere ends %v, want %v", name, v, got.ends[v], want.ends[v])
 		}
 	}
 }
@@ -117,7 +126,7 @@ func TestFloodDedupModesAgree(t *testing.T) {
 	run := func(forceMap bool) floodFingerprint {
 		eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
 			i, _ := ix.IndexOf(v)
-			p := newFloodProtocol(v, i, ix, nil, radius, 8)
+			p := newFloodProtocol(i, ix, nil, radius, 8)
 			if forceMap {
 				// Disable the bitmap so dedup falls back to the sparse
 				// index set, as it would for n > seenBitmapMaxN.
@@ -131,17 +140,11 @@ func TestFloodDedupModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := floodFingerprint{
-			rounds: res.Rounds, messages: res.Messages, volume: res.Volume,
-			recs:  make(map[graph.ID][]NodeInfo),
-			dists: make(map[graph.ID][]int32),
-		}
+		know := make(map[graph.ID]*Knowledge, len(res.Outputs))
 		for v, o := range res.Outputs {
-			k := o.(*Knowledge)
-			fp.recs[v] = k.recs
-			fp.dists[v] = k.dist
+			know[v] = o.(*Knowledge)
 		}
-		return fp
+		return fingerprint(res, know)
 	}
 	compareFloodRuns(t, "bitmap-vs-map", run(false), run(true))
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -51,16 +52,7 @@ func TestNilAndZeroFaultsEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := floodFingerprint{
-		rounds: res.Rounds, messages: res.Messages, volume: res.Volume,
-		recs:  make(map[graph.ID][]NodeInfo),
-		dists: make(map[graph.ID][]int32),
-	}
-	for v, k := range know {
-		got.recs[v] = k.recs
-		got.dists[v] = k.dist
-	}
-	compareFloodRuns(t, "zero-plan", ref, got)
+	compareFloodRuns(t, "zero-plan", ref, fingerprint(res, know))
 	if res.Dropped+res.Duplicated+res.DeadLetters+res.Stall != 0 {
 		t.Errorf("zero plan produced fault counters: %+v", res)
 	}
@@ -90,14 +82,17 @@ func TestDupAndDelayAbsorbed(t *testing.T) {
 		t.Fatal("delay=3 charged no stall")
 	}
 	for v, k := range know {
-		wantRecs, wantDists := ref.recs[v], ref.dists[v]
+		wantRecs, wantEnds := ref.recs[v], ref.ends[v]
 		if len(k.recs) != len(wantRecs) {
 			t.Fatalf("node %d: %d records under dup/delay, want %d", v, len(k.recs), len(wantRecs))
 		}
 		for i := range wantRecs {
-			if k.recs[i].Node != wantRecs[i].Node || k.dist[i] != wantDists[i] {
+			if k.recs[i] != wantRecs[i] {
 				t.Fatalf("node %d record %d diverged under dup/delay", v, i)
 			}
+		}
+		if !slices.Equal(k.ends, wantEnds) {
+			t.Fatalf("node %d: sphere ends %v under dup/delay, want %v", v, k.ends, wantEnds)
 		}
 	}
 }

@@ -2,140 +2,126 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
 
-// NodeInfo is the unit of knowledge the full-information flooding protocol
-// disseminates: a node's identity, its full adjacency list, and an
-// arbitrary annotation (e.g. its layer number).
-type NodeInfo struct {
-	Node graph.ID
-	Adj  []graph.ID
-	Note any
-	// idx is the node's dense index in the engine's graph snapshot; it
-	// travels with the record so receivers can dedup with a bitmap
-	// instead of a hash lookup, and so index-space consumers (the
-	// pruning decide kernel's view.Ball) can fetch the record's CSR
-	// adjacency row straight from the shared snapshot — the record
-	// itself stays three words plus the index, since flooding copies
-	// every record through many inboxes.
-	idx int32
-}
-
 // Knowledge is what a node has learned after r rounds of flooding: the
-// info of every node at distance at most r, with distances. Records are
-// stored in discovery order (distances nondecreasing, center first);
-// by-ID lookups go through a position map that is built lazily, so
-// flood-only workloads never pay for it. Knowledge is not safe for
-// concurrent use.
+// set of nodes at distance at most r, with distances. A record is one
+// snapshot index — identity and adjacency resolve through the engine's
+// CSR snapshot, annotations through the flood run's note table — so the
+// record store holds no pointers and costs 4 B per record. Records are
+// stored in discovery order (distances nondecreasing, center first), and
+// distances are sphere end offsets into that order rather than a value
+// per record. Knowledge is not safe for concurrent use.
 type Knowledge struct {
 	Center graph.ID
 	Radius int
-	recs   []NodeInfo
-	dist   []int32 // aligned with recs
-	pos    map[graph.ID]int32
+	// recs holds the known nodes' snapshot indices in discovery order.
+	recs []int32
+	// ends[h] is the end offset in recs of the sphere at distance h, so
+	// the records learned at distance h are recs[ends[h-1]:ends[h]]
+	// (ends[0] = 1: the center). One entry per hop up to the last hop
+	// that learned something; a hop that learned nothing — possible
+	// only under faults — repeats the previous offset.
+	ends []int32
+	// notes is the flood run's note table by snapshot index (nil when
+	// the run had no annotations), shared by every Knowledge of the run.
+	// The run copies the caller's table once, so notes read as of the
+	// flood even when the caller rewrites its table afterwards.
+	notes []any
 	// seen is the flood protocol's dense dedup bitmap by snapshot index,
-	// handed over to the knowledge it built (nil in the sparse-set regime
-	// and for retransmitted knowledge). CoversComponent and KnownIdx
-	// reuse it so small-n pruning never allocates a per-center position
-	// map.
+	// handed over to the knowledge it built (nil in the sparse-set
+	// regime and for retransmitted knowledge). KnownIdx and
+	// CoversComponent test membership against it.
 	seen []uint64
 	// known is the sparse dedup set by snapshot index — the big-n
 	// counterpart of seen, populated by the flood protocol above
 	// seenBitmapMaxN and by the retransmitting protocol's rebuild.
-	// KnownIdx and CoversComponent resolve through it, so index-space
-	// consumers never trigger the lazy position map regardless of n.
 	known IdxSet
-	// snap is the engine snapshot the flood ran on. Every record carries
-	// its snapshot index, so index-space accessors (RecordAt, KnownIdx,
-	// the bitmap CoversComponent) resolve adjacency rows through the
-	// snapshot's CSR instead of shipping a second slice per record.
-	// Non-nil for all protocol-built knowledge.
+	// snap is the engine snapshot the flood ran on; every accessor
+	// resolves records through it.
 	snap *graph.Indexed
-	// maxDist is the largest distance at which the flood still learned a
-	// new node.
-	maxDist int
-}
-
-// ensurePos returns the ID→record-index map, building it on first use.
-// All protocols dedup in index space (bitmap or IdxSet), so only the
-// ID-keyed accessors ever pay for this map.
-func (k *Knowledge) ensurePos() map[graph.ID]int32 {
-	if k.pos == nil {
-		k.pos = make(map[graph.ID]int32, len(k.recs))
-		for i, rec := range k.recs {
-			k.pos[rec.Node] = int32(i)
-		}
-	}
-	return k.pos
+	// pos maps a snapshot index to its record position, built on the
+	// first DistOf call: only the by-ID distance lookup needs it.
+	pos IdxMap
 }
 
 // Size returns the number of known nodes (the center counts).
 func (k *Knowledge) Size() int { return len(k.recs) }
 
-// RecordCount returns the number of records, implementing the decide
-// kernel's view.Source.
+// RecordCount returns the number of records.
 func (k *Knowledge) RecordCount() int { return len(k.recs) }
 
-// RecordAt returns record i's snapshot index, its hop distance from the
-// center, and its adjacency row in snapshot-index space (a shared view —
-// read-only), implementing view.Source. Records are in nondecreasing-
-// distance discovery order with the center first. Only meaningful when
-// IndexReady reports true.
-func (k *Knowledge) RecordAt(i int) (idx int32, dist int32, adj []int32) {
-	idx = k.recs[i].idx
-	return idx, k.dist[i], k.snap.NeighborIndices(int(idx))
+// distAt returns the distance of the record at position i: the first
+// sphere whose end offset lies beyond i.
+func (k *Knowledge) distAt(i int) int32 {
+	h, _ := slices.BinarySearch(k.ends, int32(i)+1)
+	return int32(h)
 }
 
-// IndexReady reports whether the knowledge can resolve records in
-// snapshot-index space, i.e. whether RecordAt and KnownIdx are usable.
-// True for all knowledge built by the flooding protocols.
-func (k *Knowledge) IndexReady() bool { return k.snap != nil }
+// RecordAt returns record i's snapshot index and its hop distance from
+// the center. Records are in nondecreasing-distance discovery order
+// with the center first.
+func (k *Knowledge) RecordAt(i int) (idx int32, dist int32) {
+	return k.recs[i], k.distAt(i)
+}
+
+// RecordsWithin returns the snapshot indices of the known nodes at
+// distance at most r, in discovery order — a prefix of the record
+// store, implementing view.Source. The result is a shared view: treat
+// it as read-only.
+func (k *Knowledge) RecordsWithin(r int) []int32 {
+	switch {
+	case r < 0:
+		return k.recs[:0]
+	case r >= len(k.ends):
+		return k.recs
+	}
+	return k.recs[:k.ends[r]]
+}
 
 // KnownIdx reports whether the node at snapshot index i is within the
-// collected ball. In the dense-bitmap regime this is a single bit test
-// with no map build; in the sparse-set regime a single probe; otherwise
-// it falls back to a record scan. Only meaningful when IndexReady
-// reports true.
+// collected ball: one bit test in the dense-bitmap regime, one probe of
+// the sparse index set otherwise.
 func (k *Knowledge) KnownIdx(i int32) bool {
 	if k.seen != nil {
 		return k.seen[i>>6]&(1<<(uint(i)&63)) != 0
 	}
-	if k.known.Len() > 0 {
-		return k.known.Has(i)
-	}
-	for j := range k.recs {
-		if k.recs[j].idx == i {
-			return true
-		}
-	}
-	return false
+	return k.known.Has(i)
 }
 
 // Known reports whether v is within the collected ball.
 func (k *Knowledge) Known(v graph.ID) bool {
-	_, ok := k.ensurePos()[v]
-	return ok
+	i, ok := k.snap.IndexOf(v)
+	return ok && k.KnownIdx(int32(i))
 }
 
 // DistOf returns the distance from the center to v, and whether v is
 // known.
 func (k *Knowledge) DistOf(v graph.ID) (int, bool) {
-	i, ok := k.ensurePos()[v]
-	if !ok {
+	i, ok := k.snap.IndexOf(v)
+	if !ok || !k.KnownIdx(int32(i)) {
 		return 0, false
 	}
-	return int(k.dist[i]), true
+	if k.pos.Len() == 0 {
+		for p, idx := range k.recs {
+			k.pos.Put(idx, int32(p))
+		}
+	}
+	p, _ := k.pos.Get(int32(i))
+	return int(k.distAt(int(p))), true
 }
 
-// InfoOf returns the record of a known node.
-func (k *Knowledge) InfoOf(v graph.ID) (NodeInfo, bool) {
-	i, ok := k.ensurePos()[v]
-	if !ok {
-		return NodeInfo{}, false
+// Note returns the annotation of a known node as of the flood (nil if
+// unknown or unannotated).
+func (k *Knowledge) Note(v graph.ID) any {
+	i, ok := k.snap.IndexOf(v)
+	if !ok || k.notes == nil || !k.KnownIdx(int32(i)) {
+		return nil
 	}
-	return k.recs[i], true
+	return k.notes[i]
 }
 
 // CoversComponent reports whether the knowledge provably covers the
@@ -154,18 +140,16 @@ func (k *Knowledge) InfoOf(v graph.ID) (NodeInfo, bool) {
 // scanned frontier-first (reverse discovery order): a clipped ball's
 // unknown neighbors hang off the last hop, so the common negative
 // answer stays near-O(1). False means only that the ball was clipped,
-// never that coverage is uncertain.
-//
-// Whenever the flood's own dedup structure survives — the dense bitmap
-// at n ≤ seenBitmapMaxN, the sparse index set above it — the scan runs
-// in snapshot-index space against it, so the per-center position map is
-// never built: the pruning phase calls this once per undecided center
-// per iteration, and the index-space paths keep that allocation-free at
-// every n.
+// never that coverage is uncertain. The scan runs in snapshot-index
+// space against the flood's own membership structure, so the pruning
+// phase — which calls this once per undecided center per iteration —
+// allocates nothing here.
 func (k *Knowledge) CoversComponent() bool {
-	if k.seen != nil && k.snap != nil {
+	// The bitmap test is spelled out rather than calling KnownIdx, which
+	// is too large to inline: this loop runs once per record neighbor.
+	if k.seen != nil {
 		for i := len(k.recs) - 1; i >= 0; i-- {
-			for _, u := range k.snap.NeighborIndices(int(k.recs[i].idx)) {
+			for _, u := range k.snap.NeighborIndices(int(k.recs[i])) {
 				if k.seen[u>>6]&(1<<(uint(u)&63)) == 0 {
 					return false
 				}
@@ -173,20 +157,9 @@ func (k *Knowledge) CoversComponent() bool {
 		}
 		return true
 	}
-	if k.known.Len() > 0 && k.snap != nil {
-		for i := len(k.recs) - 1; i >= 0; i-- {
-			for _, u := range k.snap.NeighborIndices(int(k.recs[i].idx)) {
-				if !k.known.Has(u) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	pos := k.ensurePos()
 	for i := len(k.recs) - 1; i >= 0; i-- {
-		for _, u := range k.recs[i].Adj {
-			if _, ok := pos[u]; !ok {
+		for _, u := range k.snap.NeighborIndices(int(k.recs[i])) {
+			if !k.known.Has(u) {
 				return false
 			}
 		}
@@ -195,58 +168,48 @@ func (k *Knowledge) CoversComponent() bool {
 }
 
 // BallGraph returns the subgraph induced by the known nodes at distance at
-// most r from the center. Because each known node carries its full
-// adjacency list, the induced subgraph is exact for r <= Radius.
+// most r from the center. Because every node's adjacency resolves
+// through the snapshot, the induced subgraph is exact for r <= Radius.
 func (k *Knowledge) BallGraph(r int) *graph.Graph {
 	return k.FilteredBallGraph(r, func(graph.ID) bool { return true })
 }
 
 // FilteredBallGraph returns the subgraph induced by the known nodes at
 // distance at most r that satisfy keep — equivalent to
-// BallGraph(r).InducedSubgraph of the kept nodes, built in one pass.
-// Records are stored in nondecreasing distance order, so both passes stop
-// at the first record beyond r.
+// BallGraph(r).InducedSubgraph of the kept nodes, built in one pass
+// over the record prefix within r.
 //
 //chordalvet:coldpath map-built ball graph, used only on the radius<2 decide fallback
 func (k *Knowledge) FilteredBallGraph(r int, keep func(graph.ID) bool) *graph.Graph {
 	g := graph.New()
-	pos := k.ensurePos()
-	for i, rec := range k.recs {
-		if int(k.dist[i]) > r {
-			break
-		}
-		if keep(rec.Node) {
-			g.AddNode(rec.Node)
+	recs := k.RecordsWithin(r)
+	ids := k.snap.IDs()
+	var in IdxSet
+	in.Reserve(len(recs))
+	for _, i := range recs {
+		if keep(ids[i]) {
+			g.AddNode(ids[i])
+			in.Add(i)
 		}
 	}
-	for i, rec := range k.recs {
-		if int(k.dist[i]) > r {
-			break
-		}
-		if !keep(rec.Node) {
+	for _, i := range recs {
+		if !in.Has(i) {
 			continue
 		}
-		for _, u := range rec.Adj {
-			if j, ok := pos[u]; ok && int(k.dist[j]) <= r && keep(u) {
-				g.AddEdge(rec.Node, u)
+		for _, u := range k.snap.NeighborIndices(int(i)) {
+			if in.Has(u) {
+				g.AddEdge(ids[i], ids[u])
 			}
 		}
 	}
 	return g
 }
 
-// Note returns the annotation of a known node (nil if unknown).
-func (k *Knowledge) Note(v graph.ID) any {
-	if info, ok := k.InfoOf(v); ok {
-		return info.Note
-	}
-	return nil
-}
-
-// infoBatch is the flood message payload; its size is its record count.
-// Batches travel as *infoBatch so queueing a payload never boxes a slice
-// header into an allocation.
-type infoBatch []NodeInfo
+// infoBatch is the flood message payload: the snapshot indices of the
+// records a node learned in the previous round. Its size is its record
+// count. Batches travel as *infoBatch so queueing a payload never boxes
+// a slice header into an allocation.
+type infoBatch []int32
 
 // PayloadSize implements Sizer.
 func (b *infoBatch) PayloadSize() int { return len(*b) }
@@ -260,8 +223,8 @@ func (b *infoBatch) PayloadSize() int { return len(*b) }
 const seenBitmapMaxN = 1 << 14
 
 // floodProtocol implements incremental full-information flooding: each
-// round a node forwards only the NodeInfo records it learned in the
-// previous round, so total communication is proportional to the knowledge
+// round a node forwards only the records it learned in the previous
+// round, so total communication is proportional to the knowledge
 // gathered rather than quadratic in it. Fresh records are the tail of the
 // knowledge's record slice appended this round; the outgoing batch is a
 // capacity-capped view of that tail, so no separate fresh buffer exists.
@@ -275,18 +238,18 @@ type floodProtocol struct {
 	seen   []uint64 // dense dedup bitmap by snapshot index; nil for big n
 }
 
-func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, note any, radius, sizeHint int) *floodProtocol {
+// newFloodProtocol builds node idx's flood state; notes is the run's
+// shared note table (nil = no annotations).
+func newFloodProtocol(idx int, ix *graph.Indexed, notes []any, radius, sizeHint int) *floodProtocol {
 	n := ix.NumNodes()
-	self := NodeInfo{Node: v, Adj: ix.NeighborIDs(idx), Note: note, idx: int32(idx)}
 	k := &Knowledge{
-		Center: v,
+		Center: ix.IDOf(idx),
 		Radius: radius,
-		recs:   make([]NodeInfo, 0, sizeHint),
-		dist:   make([]int32, 0, sizeHint),
+		recs:   append(make([]int32, 0, sizeHint), int32(idx)),
+		ends:   append(make([]int32, 0, min(radius, maxSphereHint)+1), 1),
+		notes:  notes,
 		snap:   ix,
 	}
-	k.recs = append(k.recs, self)
-	k.dist = append(k.dist, 0)
 	p := &floodProtocol{radius: radius, know: k}
 	if n <= seenBitmapMaxN {
 		p.seen = make([]uint64, (n+63)/64)
@@ -296,8 +259,7 @@ func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, note any, radius, 
 		k.seen = p.seen
 	} else {
 		// Big-n regime: dedup with the knowledge's own sparse index set,
-		// which doubles as its membership test after the run. The lazy
-		// position map is built only if an ID-keyed accessor asks.
+		// which doubles as its membership test after the run.
 		k.known.Reserve(sizeHint)
 		k.known.Add(int32(idx))
 	}
@@ -311,6 +273,10 @@ func (p *floodProtocol) Init(ctx *Context) {
 	}
 }
 
+// Round dedups the inbox into the record store and forwards the fresh
+// tail.
+//
+//chordalvet:hotpath budget=5 flood step: records are pointer-free indices appended in place
 func (p *floodProtocol) Round(ctx *Context, inbox []Message) {
 	if p.round >= p.radius {
 		return
@@ -319,22 +285,25 @@ func (p *floodProtocol) Round(ctx *Context, inbox []Message) {
 	k := p.know
 	start := len(k.recs)
 	for _, m := range inbox {
-		for _, info := range *m.Payload.(*infoBatch) {
+		for _, idx := range *m.Payload.(*infoBatch) {
 			if p.seen != nil {
-				w, b := info.idx>>6, uint64(1)<<(uint(info.idx)&63)
+				w, b := idx>>6, uint64(1)<<(uint(idx)&63)
 				if p.seen[w]&b != 0 {
 					continue
 				}
 				p.seen[w] |= b
-			} else if !k.known.Add(info.idx) {
+			} else if !k.known.Add(idx) {
 				continue
 			}
-			k.recs = append(k.recs, info)
-			k.dist = append(k.dist, int32(p.round))
+			k.recs = append(k.recs, idx)
 		}
 	}
 	if len(k.recs) > start {
-		k.maxDist = p.round
+		// Close the sphere of this hop, padding any empty hops before it.
+		for len(k.ends) <= p.round {
+			k.ends = append(k.ends, int32(start))
+		}
+		k.ends[p.round] = int32(len(k.recs))
 		if p.round < p.radius {
 			cur := p.round % 2
 			p.batch[cur] = infoBatch(k.recs[start:len(k.recs):len(k.recs)])
@@ -345,6 +314,11 @@ func (p *floodProtocol) Round(ctx *Context, inbox []Message) {
 
 func (p *floodProtocol) Done() bool  { return p.round >= p.radius }
 func (p *floodProtocol) Output() any { return p.know }
+
+// maxSphereHint caps the presized sphere-offset count: one allocation
+// covers balls up to this many hops deep, and deeper balls grow the
+// slice instead of every node reserving radius+1 offsets.
+const maxSphereHint = 15
 
 // maxBallHint caps the per-node presize so a mis-estimate can never
 // front-load more memory than the flood would actually gather; slices
@@ -398,16 +372,14 @@ func CollectBalls(g *graph.Graph, radius int, notes map[graph.ID]any) (map[graph
 }
 
 // CollectBallsStats is CollectBalls with the full engine result (rounds,
-// message count, volume in NodeInfo records) for bandwidth measurements.
+// message count, volume in flood records) for bandwidth measurements.
 func CollectBallsStats(g *graph.Graph, radius int, notes map[graph.ID]any) (map[graph.ID]*Knowledge, *Result, error) {
 	return CollectBallsIndexed(graph.NewIndexed(g), radius, notes)
 }
 
 // CollectBallsIndexed is CollectBallsStats on an existing snapshot,
 // letting iterated callers (the pruning phase) pay the snapshot cost
-// once. Adjacency lists in the disseminated NodeInfo records are shared
-// views into the snapshot, so collection allocates no per-node adjacency
-// copies.
+// once.
 func CollectBallsIndexed(ix *graph.Indexed, radius int, notes map[graph.ID]any) (map[graph.ID]*Knowledge, *Result, error) {
 	return CollectBallsIndexedObserved(ix, radius, notes, nil)
 }
@@ -426,16 +398,7 @@ func CollectBallsIndexedObserved(ix *graph.Indexed, radius int, notes map[graph.
 // and crashes surface as engine errors — callers that must survive drops
 // use CollectBallsRetrans instead.
 func CollectBallsIndexedFaulty(ix *graph.Indexed, radius int, notes map[graph.ID]any, o RoundObserver, f *Faults) (map[graph.ID]*Knowledge, *Result, error) {
-	var noteOf []any
-	if len(notes) > 0 {
-		noteOf = make([]any, ix.NumNodes())
-		for v, note := range notes {
-			if i, ok := ix.IndexOf(v); ok {
-				noteOf[i] = note
-			}
-		}
-	}
-	ks, res, err := collectBalls(ix, radius, noteOf, o, f, false)
+	ks, res, err := collectBalls(ix, radius, noteTable(ix, notes), o, f, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -446,19 +409,36 @@ func CollectBallsIndexedFaulty(ix *graph.Indexed, radius int, notes map[graph.ID
 	return out, res, nil
 }
 
+// noteTable converts an ID-keyed note map into a by-index note table
+// (nil when there are no notes).
+func noteTable(ix *graph.Indexed, notes map[graph.ID]any) []any {
+	if len(notes) == 0 {
+		return nil
+	}
+	table := make([]any, ix.NumNodes())
+	for v, note := range notes {
+		if i, ok := ix.IndexOf(v); ok {
+			table[i] = note
+		}
+	}
+	return table
+}
+
 // CollectBallsByIndex is the index-space collection path: notes[i]
 // annotates the node at snapshot index i (a nil slice means no
 // annotations), and the returned knowledge slice is indexed the same
 // way. The ID-keyed variants above are wrappers over it; iterated
 // big-n callers — the pruning phase floods a million-node snapshot once
 // per iteration — use it directly, so neither an n-entry note map nor
-// an n-entry output map is ever built.
+// an n-entry output map is ever built. The run keeps its own copy of
+// notes, so the caller may rewrite the table once the call returns.
 func CollectBallsByIndex(ix *graph.Indexed, radius int, notes []any, o RoundObserver, f *Faults) ([]*Knowledge, *Result, error) {
-	return collectBalls(ix, radius, notes, o, f, true)
+	return collectBalls(ix, radius, slices.Clone(notes), o, f, true)
 }
 
 // collectBalls runs the flood engine and hands each node's knowledge
-// back by snapshot index. skipOutputs elides the engine's ID-keyed
+// back by snapshot index; notes becomes the run's shared note table and
+// must not change afterwards. skipOutputs elides the engine's ID-keyed
 // Result.Outputs map (the protocols themselves are the by-index output
 // channel); the ID-keyed wrappers keep it populated for callers that
 // read the Result directly.
@@ -471,12 +451,8 @@ func collectBalls(ix *graph.Indexed, radius int, notes []any, o RoundObserver, f
 	ps := make([]*floodProtocol, n)
 	eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
 		i, _ := ix.IndexOf(v)
-		var note any
-		if notes != nil {
-			note = notes[i]
-		}
 		hint := ballSizeHint(ix.Degree(i), avgDeg, radius, n)
-		ps[i] = newFloodProtocol(v, i, ix, note, radius, hint)
+		ps[i] = newFloodProtocol(i, ix, notes, radius, hint)
 		return ps[i]
 	})
 	eng.Observer = o

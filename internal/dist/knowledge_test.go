@@ -7,22 +7,76 @@ import (
 	"repro/internal/graph"
 )
 
-// forceMapPath returns a copy of k with the dedup bitmap and sparse
-// index set detached and the position map unbuilt, so CoversComponent
-// and KnownIdx take the reference map/scan paths.
-func forceMapPath(k *Knowledge) *Knowledge {
-	kc := *k
-	kc.seen = nil
-	kc.known = IdxSet{}
-	kc.pos = nil
-	return &kc
+// bfsDist returns every snapshot index's BFS distance from center (-1 =
+// unreachable) and the size of center's component.
+func bfsDist(ix *graph.Indexed, center int) ([]int32, int) {
+	d := make([]int32, ix.NumNodes())
+	for i := range d {
+		d[i] = -1
+	}
+	d[center] = 0
+	queue := []int32{int32(center)}
+	for h := 0; h < len(queue); h++ {
+		v := queue[h]
+		for _, u := range ix.NeighborIndices(int(v)) {
+			if d[u] < 0 {
+				d[u] = d[v] + 1
+				queue = append(queue, u)
+			}
+		}
+	}
+	return d, len(queue)
 }
 
-// TestCoversComponentBitmapMatchesMapPath checks that the dense-bitmap
-// fast path of CoversComponent agrees with the position-map path on
-// both answers: balls that cover their component (radius beyond the
-// diameter) and balls the radius clips.
-func TestCoversComponentBitmapMatchesMapPath(t *testing.T) {
+// checkAgainstBFS requires k — a fault-free ball — to agree with a BFS
+// over its snapshot: RecordAt lists exactly the nodes within the radius,
+// each at its BFS distance, in nondecreasing distance with the center
+// first; KnownIdx and Known answer membership for every index; and
+// CoversComponent holds exactly when the ball is the whole component.
+// It reports whether the ball covers its component.
+func checkAgainstBFS(t *testing.T, ix *graph.Indexed, k *Knowledge) bool {
+	t.Helper()
+	center, _ := ix.IndexOf(k.Center)
+	d, comp := bfsDist(ix, center)
+	within := 0
+	for i, di := range d {
+		in := di >= 0 && int(di) <= k.Radius
+		if in {
+			within++
+		}
+		if got := k.KnownIdx(int32(i)); got != in {
+			t.Fatalf("center %d: KnownIdx(%d) = %v, BFS distance %d within radius %d = %v", k.Center, i, got, di, k.Radius, in)
+		}
+		if got := k.Known(ix.IDOf(i)); got != in {
+			t.Fatalf("center %d: Known(%d) = %v, want %v", k.Center, ix.IDOf(i), got, in)
+		}
+	}
+	if k.RecordCount() != within {
+		t.Fatalf("center %d: %d records, BFS ball has %d nodes", k.Center, k.RecordCount(), within)
+	}
+	prev := int32(0)
+	for i := 0; i < k.RecordCount(); i++ {
+		idx, dist := k.RecordAt(i)
+		if dist != d[idx] || dist < prev || (i == 0) != (int(idx) == center) {
+			t.Fatalf("center %d: record %d is index %d at distance %d (BFS %d, previous %d)", k.Center, i, idx, dist, d[idx], prev)
+		}
+		prev = dist
+	}
+	covers := k.CoversComponent()
+	if k.pos.Len() != 0 {
+		t.Fatalf("center %d: CoversComponent built the position map", k.Center)
+	}
+	if want := within == comp; covers != want {
+		t.Fatalf("center %d: CoversComponent = %v, ball %d of component %d", k.Center, covers, within, comp)
+	}
+	return covers
+}
+
+// TestCoversComponentBitmapMatchesBFS checks the dense-bitmap regime
+// of CoversComponent against a BFS on both answers: balls that cover
+// their component (radius beyond the diameter) and balls the radius
+// clips.
+func TestCoversComponentBitmapMatchesBFS(t *testing.T) {
 	g := gen.RandomChordal(120, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 17)
 	// A second component so coverage is per-component, not per-graph.
 	g.AddEdge(5000, 5001)
@@ -39,14 +93,7 @@ func TestCoversComponentBitmapMatchesMapPath(t *testing.T) {
 			if k.seen == nil {
 				t.Fatalf("radius %d: knowledge of %d has no dedup bitmap at n=%d", radius, v, ix.NumNodes())
 			}
-			got := k.CoversComponent()
-			if k.pos != nil {
-				t.Fatalf("radius %d: bitmap CoversComponent of %d built the position map", radius, v)
-			}
-			if want := forceMapPath(k).CoversComponent(); got != want {
-				t.Fatalf("radius %d: CoversComponent of %d: bitmap %v, map path %v", radius, v, got, want)
-			}
-			if got {
+			if checkAgainstBFS(t, ix, k) {
 				covered++
 			} else {
 				clipped++
@@ -62,65 +109,48 @@ func TestCoversComponentBitmapMatchesMapPath(t *testing.T) {
 	}
 }
 
-// TestKnownIdxBitmapAndScanAgree checks KnownIdx's bit-test path against
-// the record-scan fallback and against Known on IDs, for clipped balls.
-func TestKnownIdxBitmapAndScanAgree(t *testing.T) {
+// TestKnownIdxBitmapMatchesBFS checks KnownIdx's bit-test path,
+// Known on IDs, and RecordAt's distances against a BFS, for clipped
+// balls.
+func TestKnownIdxBitmapMatchesBFS(t *testing.T) {
 	g := gen.Tree(90, 7)
 	ix := graph.NewIndexed(g)
 	know, _, err := CollectBallsIndexed(ix, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := ix.IDs()
-	for _, v := range ids {
-		k := know[v]
-		if !k.IndexReady() {
-			t.Fatalf("knowledge of %d not index-ready", v)
-		}
-		scan := forceMapPath(k)
-		for i := range ids {
-			bit := k.KnownIdx(int32(i))
-			if slow := scan.KnownIdx(int32(i)); bit != slow {
-				t.Fatalf("center %d idx %d: bitmap KnownIdx %v, scan %v", v, i, bit, slow)
-			}
-			if byID := k.Known(ids[i]); bit != byID {
-				t.Fatalf("center %d idx %d: KnownIdx %v, Known(%d) %v", v, i, bit, ids[i], byID)
-			}
-		}
+	for _, v := range ix.IDs() {
+		checkAgainstBFS(t, ix, know[v])
 	}
 }
 
-// TestRetransKnowledgeIndexReady checks that retransmission-protocol
-// knowledge is index-ready (the decide kernel consumes it through
-// view.Source) while carrying no bitmap — its CoversComponent goes
-// through the sparse index set, agreeing with the position-map path.
-func TestRetransKnowledgeIndexReady(t *testing.T) {
+// TestRetransKnowledgeMatchesBFS checks that retransmission-protocol
+// knowledge carries no bitmap — its membership and CoversComponent go
+// through the sparse index set — and that its records, distances and
+// membership agree with a BFS.
+func TestRetransKnowledgeMatchesBFS(t *testing.T) {
 	g := gen.Path(40)
 	know, _, err := CollectBallsRetrans(g, 4, 50, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := graph.NewIndexed(g)
 	for _, v := range g.Nodes() {
 		k := know[v]
-		if !k.IndexReady() {
-			t.Fatalf("retrans knowledge of %d not index-ready", v)
-		}
 		if k.seen != nil {
 			t.Fatalf("retrans knowledge of %d unexpectedly carries a dedup bitmap", v)
 		}
 		if k.known.Len() != k.Size() {
 			t.Fatalf("retrans knowledge of %d: index set has %d entries, want %d", v, k.known.Len(), k.Size())
 		}
-		if got, want := k.CoversComponent(), forceMapPath(k).CoversComponent(); got != want {
-			t.Fatalf("retrans CoversComponent of %d: %v vs %v", v, got, want)
-		}
+		checkAgainstBFS(t, ix, k)
 	}
 }
 
 // TestBigNSparseSetRegime exercises the flood above seenBitmapMaxN,
 // where dedup and membership run through the sparse index set: no
-// bitmap, no eagerly-built position map, and KnownIdx/CoversComponent
-// agreeing with the ID-keyed reference paths.
+// bitmap, no position map, and records, KnownIdx/Known and
+// CoversComponent agreeing with a BFS.
 func TestBigNSparseSetRegime(t *testing.T) {
 	g := gen.Path(seenBitmapMaxN + 100)
 	// A second, tiny component whose radius-3 balls cover it entirely,
@@ -132,7 +162,6 @@ func TestBigNSparseSetRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := ix.IDs()
 	covered, clipped := 0, 0
 	for _, v := range []graph.ID{0, 77, seenBitmapMaxN / 2, 1_000_000, 1_000_001} {
 		k := know[v]
@@ -142,31 +171,10 @@ func TestBigNSparseSetRegime(t *testing.T) {
 		if k.known.Len() != k.Size() {
 			t.Fatalf("knowledge of %d: index set has %d entries, want %d", v, k.known.Len(), k.Size())
 		}
-		got := k.CoversComponent()
-		if k.pos != nil {
-			t.Fatalf("index-space CoversComponent of %d built the position map", v)
-		}
-		if want := forceMapPath(k).CoversComponent(); got != want {
-			t.Fatalf("CoversComponent of %d: sparse set %v, map path %v", v, got, want)
-		}
-		if got {
+		if checkAgainstBFS(t, ix, k) {
 			covered++
 		} else {
 			clipped++
-		}
-		scan := forceMapPath(k)
-		for _, u := range []graph.ID{0, v, 1_000_000, 1_000_002, graph.ID(seenBitmapMaxN - 1)} {
-			i, ok := ix.IndexOf(u)
-			if !ok {
-				t.Fatalf("probe node %d missing from snapshot", u)
-			}
-			set := k.KnownIdx(int32(i))
-			if slow := scan.KnownIdx(int32(i)); set != slow {
-				t.Fatalf("center %d idx %d: sparse KnownIdx %v, scan %v", v, i, set, slow)
-			}
-			if byID := k.Known(ids[i]); set != byID {
-				t.Fatalf("center %d idx %d: KnownIdx %v, Known(%d) %v", v, i, set, ids[i], byID)
-			}
 		}
 	}
 	if covered == 0 || clipped == 0 {

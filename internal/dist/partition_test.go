@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,30 +44,33 @@ func newPartRecorder() *partRecorder {
 	return r
 }
 
-// sameKnowledge requires a and b to agree on every observable field:
-// identity, record sequence (order matters — downstream ball decoding
-// walks records in discovery order), distances, notes, and index-space
-// membership.
+// samePartKnowledge requires a and b to agree on every observable
+// field: identity, record sequence (order matters — downstream ball
+// decoding walks records in discovery order), sphere offsets, the
+// adjacency each record resolves to, notes, and index-space membership.
 func samePartKnowledge(t *testing.T, at string, a, b *Knowledge) {
 	t.Helper()
-	if a.Center != b.Center || a.Radius != b.Radius || a.maxDist != b.maxDist {
-		t.Fatalf("%s: knowledge header (%d, %d, %d) != (%d, %d, %d)",
-			at, a.Center, a.Radius, a.maxDist, b.Center, b.Radius, b.maxDist)
+	if a.Center != b.Center || a.Radius != b.Radius {
+		t.Fatalf("%s: knowledge header (%d, %d) != (%d, %d)", at, a.Center, a.Radius, b.Center, b.Radius)
+	}
+	if !slices.Equal(a.ends, b.ends) {
+		t.Fatalf("%s: sphere ends %v != %v", at, a.ends, b.ends)
 	}
 	if len(a.recs) != len(b.recs) {
 		t.Fatalf("%s: %d records != %d records", at, len(a.recs), len(b.recs))
 	}
 	for i := range a.recs {
-		ra, rb := a.recs[i], b.recs[i]
-		if ra.Node != rb.Node || ra.idx != rb.idx || a.dist[i] != b.dist[i] {
-			t.Fatalf("%s: record %d (%d@%d idx %d) != (%d@%d idx %d)",
-				at, i, ra.Node, a.dist[i], ra.idx, rb.Node, b.dist[i], rb.idx)
+		ia, da := a.RecordAt(i)
+		ib, db := b.RecordAt(i)
+		if ia != ib || da != db {
+			t.Fatalf("%s: record %d (idx %d@%d) != (idx %d@%d)", at, i, ia, da, ib, db)
 		}
-		if !reflect.DeepEqual(ra.Note, rb.Note) {
-			t.Fatalf("%s: record %d note %v != %v", at, i, ra.Note, rb.Note)
-		}
-		if !reflect.DeepEqual(ra.Adj, rb.Adj) {
+		if !slices.Equal(a.snap.NeighborIDs(int(ia)), b.snap.NeighborIDs(int(ib))) {
 			t.Fatalf("%s: record %d adjacency diverges", at, i)
+		}
+		v := a.snap.IDOf(int(ia))
+		if !reflect.DeepEqual(a.Note(v), b.Note(v)) {
+			t.Fatalf("%s: record %d note %v != %v", at, i, a.Note(v), b.Note(v))
 		}
 	}
 	n := int32(a.snap.NumNodes())

@@ -10,13 +10,13 @@ import (
 )
 
 // This file adapts the flooding protocols to the partitioned runtime.
-// Both flood variants disseminate NodeInfo records, and a record is a
-// pure function of its snapshot index: Node and Adj come from the CSR
-// snapshot every shard holds, and Note comes from the per-run note
-// table shipped in the program parameters. So the wire format of a
-// record is just the index — payload codecs move int32s, not adjacency
-// lists, and the decoded record is bit-identical to the one the LOCAL
-// engine would have delivered (shared snapshot views included).
+// Both flood variants disseminate records that are snapshot indices:
+// identity and adjacency come from the CSR snapshot every shard holds,
+// and annotations from the per-run note table shipped in the program
+// parameters. So a record's wire form is the record itself — payload
+// codecs move int32s and only range-check them on the way in, and a
+// decoded Knowledge is the sphere offsets plus the index list, exactly
+// the store the LOCAL engine builds.
 
 // floodNotes is the wire form of a flood note table. Prune annotations
 // are iteration numbers, so the codec supports exactly nil-or-int
@@ -111,35 +111,26 @@ func readI32(b []byte) (int32, []byte, error) {
 	return int32(binary.LittleEndian.Uint32(b)), b[4:], nil
 }
 
-// rebuildInfo reconstructs the NodeInfo the LOCAL engine would deliver
-// for snapshot index idx: identity and adjacency resolve through the
-// shared snapshot, the note through the per-run table.
-func rebuildInfo(ix *graph.Indexed, notes []any, idx int32) (NodeInfo, error) {
+// checkIdx rejects a record index outside the snapshot.
+func checkIdx(ix *graph.Indexed, idx int32) error {
 	if idx < 0 || int(idx) >= ix.NumNodes() {
-		return NodeInfo{}, fmt.Errorf("dist: record index %d out of range [0, %d)", idx, ix.NumNodes())
+		return fmt.Errorf("dist: record index %d out of range [0, %d)", idx, ix.NumNodes())
 	}
-	var note any
-	if notes != nil {
-		note = notes[idx]
-	}
-	return NodeInfo{
-		Node: ix.IDOf(int(idx)),
-		Adj:  ix.NeighborIDs(int(idx)),
-		Note: note,
-		idx:  idx,
-	}, nil
+	return nil
 }
 
-// encodeKnowledge flattens a flood result to (maxDist, [idx, dist]...):
-// everything else in a Knowledge is derivable from the snapshot, the
-// note table, and the record regime.
+// encodeKnowledge flattens a flood result to (spheres, ends...,
+// idx...): the sphere end offsets, then the record indices in discovery
+// order. Everything else in a Knowledge is derivable from the snapshot,
+// the note table, and the record regime.
 func encodeKnowledge(k *Knowledge) []byte {
-	out := make([]byte, 0, 8+8*len(k.recs))
-	out = appendI32(out, int32(k.maxDist))
-	out = appendI32(out, int32(len(k.recs)))
-	for i := range k.recs {
-		out = appendI32(out, k.recs[i].idx)
-		out = appendI32(out, k.dist[i])
+	out := make([]byte, 0, 4*(1+len(k.ends)+len(k.recs)))
+	out = appendI32(out, int32(len(k.ends)))
+	for _, e := range k.ends {
+		out = appendI32(out, e)
+	}
+	for _, idx := range k.recs {
+		out = appendI32(out, idx)
 	}
 	return out
 }
@@ -151,47 +142,44 @@ func encodeKnowledge(k *Knowledge) []byte {
 // downstream index-space consumers take the same code paths as on a
 // LOCAL run.
 func decodeKnowledge(ix *graph.Indexed, notes []any, center, radius int, bitmapRegime bool, data []byte) (*Knowledge, error) {
-	maxDist, data, err := readI32(data)
+	spheres, data, err := readI32(data)
 	if err != nil {
 		return nil, err
 	}
-	count, data, err := readI32(data)
-	if err != nil {
-		return nil, err
+	if spheres < 1 || len(data) < 4*int(spheres) {
+		return nil, fmt.Errorf("dist: knowledge has %d spheres in %d bytes", spheres, len(data))
 	}
-	if count < 0 || len(data) != int(count)*8 {
+	ends := make([]int32, spheres)
+	for h := range ends {
+		ends[h], data, _ = readI32(data)
+		if ends[h] < 1 || (h > 0 && ends[h] < ends[h-1]) {
+			return nil, fmt.Errorf("dist: knowledge sphere %d ends at %d", h, ends[h])
+		}
+	}
+	count := int(ends[spheres-1])
+	if len(data) != 4*count {
 		return nil, fmt.Errorf("dist: knowledge record block has %d bytes for %d records", len(data), count)
 	}
 	n := ix.NumNodes()
 	k := &Knowledge{
-		Center:  ix.IDOf(center),
-		Radius:  radius,
-		recs:    make([]NodeInfo, 0, count),
-		dist:    make([]int32, 0, count),
-		snap:    ix,
-		maxDist: int(maxDist),
+		Center: ix.IDOf(center),
+		Radius: radius,
+		recs:   make([]int32, count),
+		ends:   ends,
+		notes:  notes,
+		snap:   ix,
 	}
 	if bitmapRegime && n <= seenBitmapMaxN {
 		k.seen = make([]uint64, (n+63)/64)
 	} else {
-		k.known.Reserve(int(count))
+		k.known.Reserve(count)
 	}
-	for range int(count) {
-		var idx, dist int32
-		idx, data, err = readI32(data)
-		if err != nil {
+	for i := range k.recs {
+		idx, rest, _ := readI32(data)
+		if err := checkIdx(ix, idx); err != nil {
 			return nil, err
 		}
-		dist, data, err = readI32(data)
-		if err != nil {
-			return nil, err
-		}
-		info, err := rebuildInfo(ix, notes, idx)
-		if err != nil {
-			return nil, err
-		}
-		k.recs = append(k.recs, info)
-		k.dist = append(k.dist, dist)
+		data, k.recs[i] = rest, idx
 		if k.seen != nil {
 			k.seen[idx>>6] |= 1 << (uint(idx) & 63)
 		} else {
@@ -223,13 +211,8 @@ func newFloodProgram(ix *graph.Indexed, params []byte) (Program, error) {
 }
 
 func (f *floodProgram) NewNode(i int) Protocol {
-	var note any
-	if f.notes != nil {
-		note = f.notes[i]
-	}
-	n := f.ix.NumNodes()
-	hint := ballSizeHint(f.ix.Degree(i), f.avgDeg, f.radius, n)
-	return newFloodProtocol(f.ix.IDOf(i), i, f.ix, note, f.radius, hint)
+	hint := ballSizeHint(f.ix.Degree(i), f.avgDeg, f.radius, f.ix.NumNodes())
+	return newFloodProtocol(i, f.ix, f.notes, f.radius, hint)
 }
 
 func (f *floodProgram) EncodePayload(p any) ([]byte, error) {
@@ -238,8 +221,8 @@ func (f *floodProgram) EncodePayload(p any) ([]byte, error) {
 		return nil, fmt.Errorf("dist: flood payload is %T, want *infoBatch", p)
 	}
 	out := make([]byte, 0, 4*len(*batch))
-	for i := range *batch {
-		out = appendI32(out, (*batch)[i].idx)
+	for _, idx := range *batch {
+		out = appendI32(out, idx)
 	}
 	return out, nil
 }
@@ -248,18 +231,13 @@ func (f *floodProgram) DecodePayload(data []byte) (any, error) {
 	if len(data)%4 != 0 {
 		return nil, fmt.Errorf("dist: flood batch has %d bytes, not a multiple of 4", len(data))
 	}
-	batch := make(infoBatch, 0, len(data)/4)
-	for len(data) > 0 {
-		idx, rest, err := readI32(data)
-		if err != nil {
+	batch := make(infoBatch, len(data)/4)
+	for i := range batch {
+		idx, rest, _ := readI32(data)
+		if err := checkIdx(f.ix, idx); err != nil {
 			return nil, err
 		}
-		data = rest
-		info, err := rebuildInfo(f.ix, f.notes, idx)
-		if err != nil {
-			return nil, err
-		}
-		batch = append(batch, info)
+		data, batch[i] = rest, idx
 	}
 	return &batch, nil
 }
@@ -293,11 +271,7 @@ func newRetransProgram(ix *graph.Indexed, params []byte) (Program, error) {
 }
 
 func (f *retransProgram) NewNode(i int) Protocol {
-	var note any
-	if f.notes != nil {
-		note = f.notes[i]
-	}
-	return newRetransProtocol(f.ix.IDOf(i), i, f.ix, note, f.radius)
+	return newRetransProtocol(i, f.ix, f.notes, f.radius)
 }
 
 // Retrans payload wire format: a kind byte (0 = data batch, 1 = ack)
@@ -314,7 +288,7 @@ func (f *retransProgram) EncodePayload(p any) ([]byte, error) {
 		out := make([]byte, 1, 1+8*len(pl.Recs))
 		out[0] = retransKindBatch
 		for i := range pl.Recs {
-			out = appendI32(out, pl.Recs[i].Info.idx)
+			out = appendI32(out, pl.Recs[i].Idx)
 			out = appendI32(out, pl.Recs[i].Hops)
 		}
 		return out, nil
@@ -353,11 +327,10 @@ func (f *retransProgram) DecodePayload(data []byte) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			info, err := rebuildInfo(f.ix, f.notes, idx)
-			if err != nil {
+			if err := checkIdx(f.ix, idx); err != nil {
 				return nil, err
 			}
-			batch.Recs = append(batch.Recs, retransRec{Info: info, Hops: hops})
+			batch.Recs = append(batch.Recs, retransRec{Idx: idx, Hops: hops})
 		}
 		return batch, nil
 	case retransKindAck:

@@ -22,16 +22,16 @@ import (
 //
 // All per-record bookkeeping lives in slot space: each node numbers the
 // records it learns 0, 1, 2, … in acceptance order, an IdxMap resolves
-// a record's snapshot index to its slot, and the distance/info/queue
+// a record's snapshot index to its slot, and the index/distance/queue
 // state are dense slices indexed by slot. The only hashing on the
 // record path is that single idx→slot probe; everything else — the
 // Bellman-Ford relax, the obligation flags, the retransmit walk — is
 // array indexing.
 
-// retransRec is one disseminated record: a node's info plus the hop
-// distance the receiver would know it at.
+// retransRec is one disseminated record: a node's snapshot index plus
+// the hop distance the receiver would know it at.
 type retransRec struct {
-	Info NodeInfo
+	Idx  int32
 	Hops int32
 }
 
@@ -78,32 +78,32 @@ func (q *retransQueue) ensure(n int) {
 }
 
 type retransProtocol struct {
-	v      graph.ID
 	ix     *graph.Indexed
+	notes  []any // the run's shared note table, handed to the Knowledge
 	radius int
 	nbrs   []graph.ID
 	nbrPos map[graph.ID]int
 
-	// slotOf maps a record's snapshot index to its slot; infos and best
+	// slotOf maps a record's snapshot index to its slot; idxs and best
 	// are the record store and Bellman-Ford distances by slot. Slot 0 is
 	// always the node's own record.
 	slotOf IdxMap
-	infos  []NodeInfo
+	idxs   []int32
 	best   []int32
 
 	queues       []retransQueue
 	pendingCount int
 }
 
-func newRetransProtocol(v graph.ID, idx int, ix *graph.Indexed, note any, radius int) *retransProtocol {
+func newRetransProtocol(idx int, ix *graph.Indexed, notes []any, radius int) *retransProtocol {
 	adj := ix.NeighborIDs(idx)
 	p := &retransProtocol{
-		v:      v,
 		ix:     ix,
+		notes:  notes,
 		radius: radius,
 		nbrs:   adj,
 		nbrPos: make(map[graph.ID]int, len(adj)),
-		infos:  []NodeInfo{{Node: v, Adj: adj, Note: note, idx: int32(idx)}},
+		idxs:   []int32{int32(idx)},
 		best:   []int32{0},
 		queues: make([]retransQueue, len(adj)),
 	}
@@ -154,19 +154,18 @@ func (p *retransProtocol) Round(ctx *Context, inbox []Message) {
 				Hops: make([]int32, 0, len(pl.Recs)),
 			}
 			for _, rec := range pl.Recs {
-				ri := rec.Info.idx
+				ri := rec.Idx
 				slot, known := p.slotOf.Get(ri)
 				if !known {
-					slot = int32(len(p.infos))
+					slot = int32(len(p.idxs))
 					p.slotOf.Put(ri, slot)
-					p.infos = append(p.infos, rec.Info)
+					p.idxs = append(p.idxs, ri)
 					p.best = append(p.best, rec.Hops)
 					if int(rec.Hops) < p.radius {
 						p.enqueueExcept(fromQ, slot)
 					}
 				} else if rec.Hops < p.best[slot] {
 					p.best[slot] = rec.Hops
-					p.infos[slot] = rec.Info
 					if int(rec.Hops) < p.radius {
 						p.enqueueExcept(fromQ, slot)
 					}
@@ -212,7 +211,7 @@ func (p *retransProtocol) retransmit(ctx *Context) {
 		batch := &retransBatch{Recs: make([]retransRec, 0, q.count)}
 		for _, slot := range q.order {
 			if q.pending[slot] {
-				batch.Recs = append(batch.Recs, retransRec{Info: p.infos[slot], Hops: p.best[slot] + 1})
+				batch.Recs = append(batch.Recs, retransRec{Idx: p.idxs[slot], Hops: p.best[slot] + 1})
 			}
 		}
 		ctx.Send(u, batch)
@@ -225,43 +224,42 @@ func (p *retransProtocol) retransmit(ctx *Context) {
 func (p *retransProtocol) Done() bool { return p.pendingCount == 0 }
 
 // Output rebuilds a Knowledge equivalent to the fault-free flood's: the
-// record slice sorted by (hops, id) restores the nondecreasing-distance
-// invariant FilteredBallGraph relies on, with the center first. The
-// knowledge gets the sparse index set as its membership structure, so
+// records sorted by (hops, index) restore the nondecreasing-distance
+// invariant with the center first — and, snapshot indices being
+// ID-ordered, the same order a (hops, ID) sort gives. The knowledge
+// gets the sparse index set as its membership structure, so
 // CoversComponent and KnownIdx take the index-space path like the plain
 // flood's.
 func (p *retransProtocol) Output() any {
-	slots := make([]int32, len(p.infos))
-	for i := range slots {
-		slots[i] = int32(i)
+	recs := make([]retransRec, len(p.idxs))
+	for s := range recs {
+		recs[s] = retransRec{Idx: p.idxs[s], Hops: p.best[s]}
 	}
-	slices.SortFunc(slots, func(a, b int32) int {
-		if p.best[a] != p.best[b] {
-			return int(p.best[a] - p.best[b])
+	slices.SortFunc(recs, func(a, b retransRec) int {
+		if a.Hops != b.Hops {
+			return int(a.Hops - b.Hops)
 		}
-		na, nb := p.infos[a].Node, p.infos[b].Node
-		if na < nb {
-			return -1
-		}
-		if na > nb {
-			return 1
-		}
-		return 0
+		return int(a.Idx - b.Idx)
 	})
 	k := &Knowledge{
-		Center: p.v,
+		Center: p.ix.IDOf(int(p.idxs[0])),
 		Radius: p.radius,
-		recs:   make([]NodeInfo, 0, len(slots)),
-		dist:   make([]int32, 0, len(slots)),
+		recs:   make([]int32, len(recs)),
+		ends:   make([]int32, recs[len(recs)-1].Hops+1),
+		notes:  p.notes,
 		snap:   p.ix,
 	}
-	k.known.Reserve(len(slots))
-	for _, s := range slots {
-		k.recs = append(k.recs, p.infos[s])
-		k.dist = append(k.dist, p.best[s])
-		k.known.Add(p.infos[s].idx)
-		if int(p.best[s]) > k.maxDist {
-			k.maxDist = int(p.best[s])
+	k.known.Reserve(len(recs))
+	for i, r := range recs {
+		k.recs[i] = r.Idx
+		k.known.Add(r.Idx)
+		k.ends[r.Hops] = int32(i + 1)
+	}
+	// A sphere no record reached ends where the previous one did; the
+	// center's sphere (ends[0] = 1) is never empty.
+	for h := 1; h < len(k.ends); h++ {
+		if k.ends[h] == 0 {
+			k.ends[h] = k.ends[h-1]
 		}
 	}
 	return k
@@ -277,9 +275,10 @@ func (p *retransProtocol) Output() any {
 // balls.
 func CollectBallsRetrans(g *graph.Graph, radius, budget int, notes map[graph.ID]any, f *Faults, o RoundObserver) (map[graph.ID]*Knowledge, *Result, error) {
 	ix := graph.NewIndexed(g)
+	table := noteTable(ix, notes)
 	eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
 		i, _ := ix.IndexOf(v)
-		return newRetransProtocol(v, i, ix, notes[v], radius)
+		return newRetransProtocol(i, ix, table, radius)
 	})
 	eng.Observer = o
 	eng.Faults = f

@@ -22,7 +22,7 @@ func E17MessageComplexity(quick bool) (*Table, error) {
 		Title:   "Message complexity of the distributed pruning phase (k=4)",
 		Columns: []string{"n", "m", "iterations", "rounds", "messages", "volume (records)", "volume/(n·m)"},
 		Notes: []string{
-			"Volume counts NodeInfo records crossing edges; the incremental flood bound is iterations·2m·n.",
+			"Volume counts flood records crossing edges; the incremental flood bound is iterations·2m·n.",
 		},
 	}
 	for _, n := range sizes {

@@ -74,13 +74,13 @@ func TestEpochBoundaryFromSource(t *testing.T) {
 	src := snapshotSource{ix: ix}
 
 	var b Ball
-	b.BuildFromSource(src, n, n, nil)
+	b.BuildFromSource(src, ix, n, nil)
 	b.epoch = math.MaxInt32
 	keep := make([]bool, n)
 	for i := 0; i < n; i++ {
 		keep[i] = i%3 != 0
 	}
-	b.BuildFromSource(src, n, n, keep)
+	b.BuildFromSource(src, ix, n, keep)
 	if b.epoch != int64(math.MaxInt32)+1 {
 		t.Fatalf("epoch = %d, want MaxInt32+1", b.epoch)
 	}
@@ -100,8 +100,10 @@ func TestEpochBoundaryFromSource(t *testing.T) {
 // Source-path epoch machinery without a flood run.
 type snapshotSource struct{ ix *graph.Indexed }
 
-func (s snapshotSource) RecordCount() int { return s.ix.NumNodes() }
-
-func (s snapshotSource) RecordAt(i int) (int32, int32, []int32) {
-	return int32(i), 0, s.ix.NeighborIndices(i)
+func (s snapshotSource) RecordsWithin(radius int) []int32 {
+	recs := make([]int32, s.ix.NumNodes())
+	for i := range recs {
+		recs[i] = int32(i)
+	}
+	return recs
 }

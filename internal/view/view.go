@@ -5,7 +5,7 @@
 // historically materialized each center's ball as a fresh map-backed
 // graph.Graph (Knowledge.FilteredBallGraph) before deciding. A Ball is
 // the allocation-lean replacement: a compact CSR over dense rows,
-// rebuilt in place from either a Knowledge record stream (Source) or a
+// rebuilt in place from either a Knowledge's records (Source) or a
 // filtered graph.Indexed snapshot, with O(1) amortized reset via
 // epoch-stamped membership marks. All per-ball state lives in the Ball
 // and its companion Scratch, so one pair per worker serves every center
@@ -22,12 +22,12 @@ import (
 	"repro/internal/graph"
 )
 
-// Source is a stream of ball records in nondecreasing-distance
-// discovery order, each carrying a node's dense snapshot index and its
-// adjacency row in snapshot-index space. dist.Knowledge implements it.
+// Source is a ball's record store: the snapshot indices of its nodes in
+// nondecreasing-distance discovery order, served as the prefix within a
+// radius. Rows resolve through the snapshot the records index into.
+// dist.Knowledge implements it.
 type Source interface {
-	RecordCount() int
-	RecordAt(i int) (idx int32, dist int32, adj []int32)
+	RecordsWithin(radius int) []int32
 }
 
 // Ball is a reusable CSR view of one ball graph. Rows are dense local
@@ -92,49 +92,26 @@ func (b *Ball) RowOf(idx int32) int32 {
 	return b.rowOf[idx]
 }
 
-// BuildFromSource rebuilds the ball from a record stream: the nodes at
+// BuildFromSource rebuilds the ball from a record store: the nodes at
 // record distance at most radius that pass keep (nil keeps all; keep is
-// indexed by snapshot index), with the adjacency restricted to that
-// member set — the index-space equivalent of
-// Knowledge.FilteredBallGraph. n is the snapshot's node count. Rows are
-// in record order; records beyond the first one past radius are
-// ignored, and duplicate records keep their first occurrence.
+// indexed by snapshot index), with the snapshot's adjacency restricted
+// to that member set — the index-space equivalent of
+// Knowledge.FilteredBallGraph. Rows are in record order; duplicate
+// records keep their first occurrence.
 //
 //chordalvet:hotpath budget=6 view rebuild: epoch reset keeps rebuilds allocation-free steady-state
-func (b *Ball) BuildFromSource(src Source, n, radius int, keep []bool) {
-	b.reset(n)
-	m := src.RecordCount()
-	cut := m
-	for i := 0; i < m; i++ {
-		idx, d, _ := src.RecordAt(i)
-		if int(d) > radius {
-			cut = i
-			break
-		}
+func (b *Ball) BuildFromSource(src Source, ix *graph.Indexed, radius int, keep []bool) {
+	b.reset(ix.NumNodes())
+	for _, idx := range src.RecordsWithin(radius) {
 		if keep != nil && !keep[idx] {
 			continue
 		}
 		if b.mark[idx] == b.epoch {
 			continue
 		}
-		b.mark[idx] = b.epoch
-		b.rowOf[idx] = int32(len(b.nodes))
-		b.nodes = append(b.nodes, idx)
+		b.addRow(idx)
 	}
-	r := int32(0)
-	for i := 0; i < cut; i++ {
-		idx, _, adj := src.RecordAt(i)
-		if (keep != nil && !keep[idx]) || b.rowOf[idx] != r {
-			continue
-		}
-		for _, u := range adj {
-			if b.mark[u] == b.epoch {
-				b.cols = append(b.cols, b.rowOf[u])
-			}
-		}
-		b.rowPtr = append(b.rowPtr, int32(len(b.cols)))
-		r++
-	}
+	b.fillRows(ix)
 }
 
 // BuildFromIndexed rebuilds the ball as the subgraph of a snapshot
@@ -149,10 +126,21 @@ func (b *Ball) BuildFromIndexed(ix *graph.Indexed, keep []bool) {
 		if keep != nil && !keep[i] {
 			continue
 		}
-		b.mark[i] = b.epoch
-		b.rowOf[i] = int32(len(b.nodes))
-		b.nodes = append(b.nodes, int32(i))
+		b.addRow(int32(i))
 	}
+	b.fillRows(ix)
+}
+
+// addRow makes the node at snapshot index idx the next row.
+func (b *Ball) addRow(idx int32) {
+	b.mark[idx] = b.epoch
+	b.rowOf[idx] = int32(len(b.nodes))
+	b.nodes = append(b.nodes, idx)
+}
+
+// fillRows builds every row's columns from the snapshot's adjacency,
+// keeping the neighbors that are rows.
+func (b *Ball) fillRows(ix *graph.Indexed) {
 	for _, idx := range b.nodes {
 		for _, u := range ix.NeighborIndices(int(idx)) {
 			if b.mark[u] == b.epoch {

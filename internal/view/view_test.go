@@ -83,8 +83,9 @@ func TestBuildFromIndexedMatchesInducedSubgraph(t *testing.T) {
 
 // TestBuildFromSourceMatchesFilteredBallGraph checks the Source build
 // against the reference map implementation, Knowledge.FilteredBallGraph,
-// for every center of a flooded graph — including centers whose balls
-// the radius clips.
+// and both against the kept radius-ball of a graph BFS, for every center
+// of a flooded graph — including centers whose balls the radius clips.
+// Every record must sit at its BFS distance.
 func TestBuildFromSourceMatchesFilteredBallGraph(t *testing.T) {
 	g := gen.RandomChordal(90, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 7)
 	ix := graph.NewIndexed(g)
@@ -101,11 +102,31 @@ func TestBuildFromSourceMatchesFilteredBallGraph(t *testing.T) {
 	var b view.Ball // one ball reused across all centers, as in the kernel
 	for _, v := range ix.IDs() {
 		k := know[v]
-		if !k.IndexReady() {
-			t.Fatalf("knowledge of %d is not index-ready", v)
+		bfs := g.BFSDistances(v)
+		var kept []graph.ID
+		within := 0
+		for u, d := range bfs {
+			if d > radius {
+				continue
+			}
+			within++
+			if keepID(u) {
+				kept = append(kept, u)
+			}
 		}
-		b.BuildFromSource(k, ix.NumNodes(), radius, keep)
+		if k.RecordCount() != within {
+			t.Fatalf("center %d holds %d records, its radius-%d ball has %d nodes", v, k.RecordCount(), radius, within)
+		}
+		for i := 0; i < k.RecordCount(); i++ {
+			idx, d := k.RecordAt(i)
+			if want, ok := bfs[ix.IDOf(int(idx))]; !ok || int(d) != want {
+				t.Fatalf("center %d record %d: node %d at distance %d, BFS says %d (reachable %v)",
+					v, i, ix.IDOf(int(idx)), d, want, ok)
+			}
+		}
+		b.BuildFromSource(k, ix, radius, keep)
 		sameGraph(t, &b, ix.IDs(), k.FilteredBallGraph(radius, keepID))
+		sameGraph(t, &b, ix.IDs(), g.InducedSubgraph(kept))
 	}
 }
 

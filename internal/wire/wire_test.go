@@ -148,8 +148,8 @@ func checkSameKnowledge(t *testing.T, at string, n int, a, b *dist.Knowledge) {
 			a.Center, a.Radius, a.RecordCount(), b.Center, b.Radius, b.RecordCount())
 	}
 	for i := 0; i < a.RecordCount(); i++ {
-		ai, ad, _ := a.RecordAt(i)
-		bi, bd, _ := b.RecordAt(i)
+		ai, ad := a.RecordAt(i)
+		bi, bd := b.RecordAt(i)
 		if ai != bi || ad != bd {
 			t.Fatalf("%s: record %d (idx %d dist %d) != (idx %d dist %d)", at, i, ai, ad, bi, bd)
 		}
